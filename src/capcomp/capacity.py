@@ -50,14 +50,16 @@ def rll_capacity(d: int, tol: float = ROOT_TOL) -> CapacityResult:
     """log2 of the largest real root of X^(d+1) - X^d - 1.
 
     The polynomial is -1 at X=1 and 2^d - 1 >= 0 at X=2, and has exactly one
-    real root above 1, so bisection on [1, 2] is safe.
+    real root above 1, so bisection on [1, 2] is safe.  Above 1 its sign is
+    that of d*log2(X) + log2(X - 1), which is tested instead: X^d overflows
+    a float once d is in the thousands.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     lo, hi = 1.0, 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid ** (d + 1) - mid**d - 1.0 < 0.0:
+        if d * math.log2(mid) + math.log2(mid - 1.0) < 0.0:
             lo = mid
         else:
             hi = mid

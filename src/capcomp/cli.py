@@ -36,31 +36,15 @@ def _format_rational(q: Fraction) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def _constraint_from_args(args: argparse.Namespace) -> constraints.ConstraintSpec:
-    family = args.family
-    if family == "rll":
-        if args.d is None:
-            raise ValueError("rll requires --d")
-        return constraints.RLL(args.d)
-    if family == "swc":
-        if args.t is None or args.w is None:
-            raise ValueError("swc requires --t and --w")
-        return constraints.SWC(args.t, args.w)
-    if family == "sec":
-        if args.l is None or args.w is None:
-            raise ValueError("sec requires --l and --w")
-        return constraints.SEC(args.l, args.w)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _outage_params_text(result: outage.OutageResult, family: str) -> str:
+def _outage_text(result: outage.OutageResult, family: str) -> str:
+    """The value, the parameters achieving it, and a [method] tag unless exact."""
     if result.params is None:
-        return "no feasible code"
-    if family == "rll":
-        return f"d={result.params[0]}"
-    if family in ("swc", "swc-lower"):
-        return f"T={result.params[0]}, w={result.params[1]}"
-    return f"L={result.params[0]}, w={result.params[1]}"
+        params = "no feasible code"
+    else:
+        labels = constraints.FAMILIES[family.removesuffix("-lower")].labels
+        params = ", ".join(f"{label}={value}" for label, value in zip(labels, result.params))
+    tag = "" if result.method == "exact" else f" [{result.method}]"
+    return f"{result.value:.6f} ({params}){tag}"
 
 
 def _result_dict(result) -> dict:
@@ -70,37 +54,49 @@ def _result_dict(result) -> dict:
     return record
 
 
+def _swc_capacity(spec: constraints.SWC, args: argparse.Namespace, cfg: dict):
+    budget = args.state_budget if args.state_budget is not None else cfg["state_budget"]
+    if args.growth:
+        nmax = args.nmax if args.nmax is not None else cfg["growth_nmax"]
+        return capacity.swc_capacity_growth(
+            spec.t, spec.w, n_max=nmax, tol=cfg["growth_tol"], state_budget=budget
+        )
+    return capacity.swc_capacity_exact(
+        spec.t, spec.w, state_budget=budget, tol=cfg["spectral_tol"]
+    )
+
+
+# capacity route per family, given the spec built from the flags
+_CAPACITY = {
+    "rll": lambda spec, args, cfg: capacity.rll_capacity(spec.d, tol=cfg["root_tol"]),
+    "swc": _swc_capacity,
+    "sec": lambda spec, args, cfg: capacity.sec_capacity(spec.length, spec.w),
+}
+
+
 def cmd_capacity(args: argparse.Namespace, cfg: dict) -> int:
-    if args.family == "rll":
-        if args.d is None:
-            raise ValueError("rll requires --d")
-        res = capacity.rll_capacity(args.d, tol=cfg["root_tol"])
-    elif args.family == "sec":
-        if args.l is None or args.w is None:
-            raise ValueError("sec requires --l and --w")
-        res = capacity.sec_capacity(args.l, args.w)
-    elif args.family == "sec-one-zero":
+    if args.family == "sec-one-zero":
         if args.t is None:
             raise ValueError("sec-one-zero requires --t")
         res = capacity.sec_one_zero_capacity(args.t)
     else:
-        if args.t is None or args.w is None:
-            raise ValueError("swc requires --t and --w")
-        budget = args.state_budget if args.state_budget is not None else cfg["state_budget"]
-        if args.growth:
-            nmax = args.nmax if args.nmax is not None else cfg["growth_nmax"]
-            res = capacity.swc_capacity_growth(
-                args.t, args.w, n_max=nmax, tol=cfg["growth_tol"], state_budget=budget
-            )
-        else:
-            res = capacity.swc_capacity_exact(
-                args.t, args.w, state_budget=budget, tol=cfg["spectral_tol"]
-            )
+        spec = constraints.FAMILIES[args.family].from_flags(vars(args))
+        res = _CAPACITY[args.family](spec, args, cfg)
     if args.json:
         print(json.dumps(_result_dict(res)))
     else:
         print(f"{res.value:.6f}")
     return 0
+
+
+# zero-outage optimizer per --family choice, given (model, state budget, subblock cap)
+_OPTIMIZERS = {
+    "rll": lambda model, budget, l_cap: outage.o_rll(model),
+    "swc": lambda model, budget, l_cap: outage.o_swc(model, state_budget=budget),
+    "sec": lambda model, budget, l_cap: outage.o_sec(model, l_cap=l_cap),
+    "swc-lower": lambda model, budget, l_cap: outage.o_swc_lower_explicit(model),
+    "sec-lower": lambda model, budget, l_cap: outage.o_sec_lower_explicit(model),
+}
 
 
 def cmd_outage(args: argparse.Namespace, cfg: dict) -> int:
@@ -115,30 +111,17 @@ def cmd_outage(args: argparse.Namespace, cfg: dict) -> int:
             }
             print(json.dumps(record))
         else:
-            for key in ("o_rll", "o_swc", "o_sec"):
-                res = report[key]
-                family = key[2:]
-                tag = "" if res.method == "exact" else f" [{res.method}]"
-                print(f"{key}: {res.value:.6f} ({_outage_params_text(res, family)}){tag}")
+            for family in constraints.FAMILIES:
+                print(f"o_{family}: {_outage_text(report[f'o_{family}'], family)}")
             print(f"gap_swc_rll: {report['gap_swc_rll']:.6f}")
             print(f"gap_sec_rll: {report['gap_sec_rll']:.6f}")
             print(f"ceiling: {report['ceiling']:.6f}")
         return 0
-    if args.family == "rll":
-        res = outage.o_rll(model)
-    elif args.family == "swc":
-        res = outage.o_swc(model, state_budget=budget)
-    elif args.family == "swc-lower":
-        res = outage.o_swc_lower_explicit(model)
-    elif args.family == "sec":
-        res = outage.o_sec(model, l_cap=args.lcap)
-    else:
-        res = outage.o_sec_lower_explicit(model)
+    res = _OPTIMIZERS[args.family](model, budget, args.lcap)
     if args.json:
         print(json.dumps(_result_dict(res)))
     else:
-        tag = "" if res.method == "exact" else f" [{res.method}]"
-        print(f"{res.value:.6f} ({_outage_params_text(res, args.family)}){tag}")
+        print(_outage_text(res, args.family))
     return 0
 
 
@@ -201,22 +184,20 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
         "e_max": str(model.e_max),
         "e_init": str(model.e_init),
     }
-    if args.adversarial:
-        spec = _constraint_from_args(args)
-        bits = constraints.adversarial_sequence(spec, model, args.reps)
+    if (args.family is None) if args.adversarial else (args.bits is None):
+        raise ValueError("simulate needs --bits, or --adversarial with a constraint family")
+    spec = None
+    if args.family is not None:
+        spec = constraints.FAMILIES[args.family].from_flags(vars(args))
         params["family"] = args.family
-        params.update(_spec_params(spec))
+        params.update(spec.flag_values())
+    if args.adversarial:
+        bits = constraints.adversarial_sequence(spec, model, args.reps)
         params["repetitions"] = args.reps
     else:
-        if args.bits is None:
-            raise ValueError("simulate needs --bits, or --adversarial with a constraint family")
         bits = args.bits
-        if args.family is not None:
-            spec = _constraint_from_args(args)
-            params["family"] = args.family
-            params.update(_spec_params(spec))
-            if not constraints.satisfies(spec, bits):
-                raise ValueError(f"sequence {bits!r} violates {spec}")
+        if spec is not None and not constraints.satisfies(spec, bits):
+            raise ValueError(f"sequence {bits!r} violates {spec}")
     trace = simulate(bits, model)
     record = {
         "params": params,
@@ -227,14 +208,6 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     }
     print(json.dumps(record))
     return 0
-
-
-def _spec_params(spec: constraints.ConstraintSpec) -> dict:
-    if isinstance(spec, constraints.RLL):
-        return {"d": spec.d}
-    if isinstance(spec, constraints.SWC):
-        return {"t": spec.t, "w": spec.w}
-    return {"l": spec.length, "w": spec.w}
 
 
 def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
@@ -257,6 +230,12 @@ def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     return 1 if failed else 0
 
 
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
+    """One integer flag per constraint parameter, named as the family table names them."""
+    for flag in dict.fromkeys(f for cls in constraints.FAMILIES.values() for f in cls.flags):
+        p.add_argument(f"--{flag}", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capcomp",
@@ -266,11 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="noiseless capacity of one constraint")
-    p.add_argument("--family", required=True, choices=["rll", "swc", "sec", "sec-one-zero"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--l", type=int)
+    p.add_argument("--family", required=True, choices=[*constraints.FAMILIES, "sec-one-zero"])
+    _add_family_flags(p)
     p.add_argument("--growth", action="store_true", help="use the growth-rate route for swc")
     p.add_argument("--nmax", type=int, help="growth-route length cap")
     p.add_argument("--state-budget", type=int)
@@ -278,11 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("outage", help="best outage-free rate for a battery model")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["rll", "swc", "sec", "swc-lower", "sec-lower", "all"],
-    )
+    p.add_argument("--family", required=True, choices=[*_OPTIMIZERS, "all"])
     p.add_argument("--b", required=True, help="per-use draw, exact rational")
     p.add_argument("--emax", required=True, help="buffer capacity, exact rational")
     p.add_argument("--state-budget", type=int)
@@ -307,11 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", required=True)
     p.add_argument("--einit")
     p.add_argument("--bits")
-    p.add_argument("--family", choices=["rll", "swc", "sec"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--l", type=int)
+    p.add_argument("--family", choices=list(constraints.FAMILIES))
+    _add_family_flags(p)
     p.add_argument("--adversarial", action="store_true", help="build a draining witness")
     p.add_argument("--reps", type=int, default=1)
     p.set_defaults(func=cmd_simulate)

@@ -33,14 +33,12 @@ DEFAULT_GROWTH_NMAX = 4000
 # Window-splitting depth for the composite lower bound.
 DEFAULT_M_MAX = 8
 
-_INT_KEYS = ("enum_limit", "state_budget", "growth_nmax", "m_max")
+_INT_KEYS = ("state_budget", "growth_nmax")
 _FLOAT_KEYS = ("root_tol", "spectral_tol", "growth_tol")
 
 DEFAULTS: dict[str, int | float] = {
-    "enum_limit": DEFAULT_ENUM_LIMIT,
     "state_budget": DEFAULT_STATE_BUDGET,
     "growth_nmax": DEFAULT_GROWTH_NMAX,
-    "m_max": DEFAULT_M_MAX,
     "root_tol": ROOT_TOL,
     "spectral_tol": SPECTRAL_TOL,
     "growth_tol": GROWTH_TOL,

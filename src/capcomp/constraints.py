@@ -1,6 +1,8 @@
 """Binary sequence constraints: run-length, sliding-window, and subblock rules.
 
-Three families, each a frozen parameter record:
+Three families, each a frozen parameter record that also carries the
+family's rules (membership, counting recurrence, zero-outage condition,
+draining witness) and its command-line binding:
 
 * RLL(d): at least d ones separate any two successive zeros.  Sequences
   shorter than d+1 bits carry no full separation window and are accepted;
@@ -18,26 +20,95 @@ sequences at every length, which the verification suites exercise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import ClassVar
 
 from .config import DEFAULT_ENUM_LIMIT, DEFAULT_STATE_BUDGET
-from .energy import EnergyModel, rll_feasible, sec_feasible, swc_feasible
+from .energy import EnergyModel, _check_bits, rll_feasible, sec_feasible, swc_feasible
 from .errors import NoWitnessError, ResourceLimitError
 
 
+class _Family:
+    """What every family spec provides on top of its parameter fields.
+
+    ``family`` is the CLI name; ``flags`` names the CLI flag of each field in
+    field order (SEC's ``length`` is ``--l``); ``labels`` names the fields in
+    outage reports.  The per-family rules are the methods ``_accepts`` (the
+    membership test on a checked bit string), ``_count`` (the counting
+    recurrence), ``_feasible`` (the zero-outage condition) and ``_witness``
+    (one period of a draining sequence, for infeasible models).
+    """
+
+    family: ClassVar[str]
+    flags: ClassVar[tuple[str, ...]]
+    labels: ClassVar[tuple[str, ...]]
+
+    @classmethod
+    def from_flags(cls, values: dict) -> "ConstraintSpec":
+        """Build a spec from CLI flag values; a missing one is an error naming all the flags."""
+        args = [values.get(flag) for flag in cls.flags]
+        if None in args:
+            raise ValueError(f"{cls.family} requires " + " and ".join(f"--{f}" for f in cls.flags))
+        return cls(*args)
+
+    def flag_values(self) -> dict[str, int]:
+        """The spec's fields keyed by their CLI flag names."""
+        return dict(zip(self.flags, astuple(self)))
+
+
 @dataclass(frozen=True)
-class RLL:
+class RLL(_Family):
     d: int
+
+    family = "rll"
+    flags = labels = ("d",)
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError("d must be >= 1")
 
+    def _accepts(self, bits: str) -> bool:
+        if len(bits) <= self.d:
+            return True
+        last_zero = None
+        for i, ch in enumerate(bits):
+            if ch == "0":
+                if last_zero is not None and i - last_zero - 1 < self.d:
+                    return False
+                last_zero = i
+        return True
+
+    def _count(self, n: int, state_budget: int) -> int:
+        d = self.d
+        if n <= d:
+            return 1 << n
+        # states: no zero emitted yet, or j ones since the last zero (j capped at d)
+        free = 1
+        run = [0] * (d + 1)
+        for _ in range(n):
+            nxt = [0] * (d + 1)
+            nxt[0] = free + run[d]  # a zero is legal only after >= d ones, or first
+            for j in range(d):
+                nxt[j + 1] += run[j]
+            nxt[d] += run[d]
+            run = nxt
+        return free + sum(run)
+
+    def _feasible(self, model: EnergyModel) -> bool:
+        return rll_feasible(self.d, model)
+
+    def _witness(self, model: EnergyModel) -> str:
+        return "0" + "1" * self.d
+
 
 @dataclass(frozen=True)
-class SWC:
+class SWC(_Family):
     t: int
     w: int
+
+    family = "swc"
+    flags = ("t", "w")
+    labels = ("T", "w")
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -45,11 +116,61 @@ class SWC:
         if not 1 <= self.w <= self.t:
             raise ValueError(f"w must satisfy 1 <= w <= t, got {self.w}")
 
+    def _accepts(self, bits: str) -> bool:
+        t, w = self.t, self.w
+        n = len(bits)
+        if n < t:
+            return True
+        ones = bits.count("1", 0, t)
+        if ones < w:
+            return False
+        for j in range(n - t):
+            ones += (bits[j + t] == "1") - (bits[j] == "1")
+            if ones < w:
+                return False
+        return True
+
+    def _count(self, n: int, state_budget: int) -> int:
+        t, w = self.t, self.w
+        if n < t:
+            return 1 << n
+        if t == 1:
+            return 1  # w == 1 forces the all-ones sequence
+        states = 1 << (t - 1)
+        if states > state_budget:
+            raise ResourceLimitError(
+                f"window length {t} needs 2^{t - 1} states, over the budget of {state_budget}"
+            )
+        half = states >> 1
+        pc = [bin(s).count("1") for s in range(states)]
+        # counts[s]: valid sequences whose last t-1 bits spell s; at length t-1
+        # every prefix is still valid
+        counts = [1] * states
+        for _ in range(t - 1, n):
+            counts = [
+                (counts[s >> 1] if pc[s] >= w else 0)
+                + (counts[(s >> 1) + half] if pc[s] + 1 >= w else 0)
+                for s in range(states)
+            ]
+        return sum(counts)
+
+    def _feasible(self, model: EnergyModel) -> bool:
+        return swc_feasible(self.t, self.w, model)
+
+    def _witness(self, model: EnergyModel) -> str:
+        if self.w < math.ceil(self.t * model.b):
+            return "1" * self.w + "0" * (self.t - self.w)
+        return "0" * (self.t - self.w) + "1" * self.w
+
 
 @dataclass(frozen=True)
-class SEC:
+class SEC(_Family):
     length: int
     w: int
+
+    family = "sec"
+    flags = ("l", "w")
+    labels = ("L", "w")
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -57,46 +178,58 @@ class SEC:
         if not 1 <= self.w <= self.length:
             raise ValueError(f"w must satisfy 1 <= w <= length, got {self.w}")
 
+    def _check_length(self, n: int) -> None:
+        if n % self.length:
+            raise ValueError(
+                f"sequence length {n} is not a multiple of the subblock length {self.length}"
+            )
+
+    def _accepts(self, bits: str) -> bool:
+        self._check_length(len(bits))
+        return all(
+            bits.count("1", j, j + self.length) >= self.w
+            for j in range(0, len(bits), self.length)
+        )
+
+    def _count(self, n: int, state_budget: int) -> int:
+        self._check_length(n)
+        # ones accumulated inside the current subblock -> count
+        state = {0: 1}
+        for i in range(n):
+            nxt: dict[int, int] = {}
+            for ones, cnt in state.items():
+                nxt[ones] = nxt.get(ones, 0) + cnt
+                nxt[ones + 1] = nxt.get(ones + 1, 0) + cnt
+            if (i + 1) % self.length == 0:
+                carried = sum(cnt for ones, cnt in nxt.items() if ones >= self.w)
+                nxt = {0: carried}
+            state = nxt
+        return sum(state.values())
+
+    def _feasible(self, model: EnergyModel) -> bool:
+        return sec_feasible(self.length, self.w, model)
+
+    def _witness(self, model: EnergyModel) -> str:
+        ones_first = "1" * self.w + "0" * (self.length - self.w)
+        zeros_first = "0" * (self.length - self.w) + "1" * self.w
+        short_start = model.e_init < (self.length - self.w) * model.b
+        rate_ok = self.w >= math.ceil(self.length * model.b)
+        buffer_ok = model.e_max >= 2 * (self.length - self.w) * model.b
+        if short_start and rate_ok and buffer_ok:
+            return zeros_first + ones_first
+        return ones_first + zeros_first
+
 
 ConstraintSpec = RLL | SWC | SEC
+
+# CLI family name -> spec class
+FAMILIES: dict[str, type[ConstraintSpec]] = {cls.family: cls for cls in (RLL, SWC, SEC)}
 
 
 def satisfies(spec: ConstraintSpec, bits: str) -> bool:
     """Exact membership test for a bit string under the given constraint."""
     _check_bits(bits)
-    if isinstance(spec, RLL):
-        if len(bits) <= spec.d:
-            return True
-        last_zero = None
-        for i, ch in enumerate(bits):
-            if ch == "0":
-                if last_zero is not None and i - last_zero - 1 < spec.d:
-                    return False
-                last_zero = i
-        return True
-    if isinstance(spec, SWC):
-        n = len(bits)
-        if n < spec.t:
-            return True
-        ones = bits.count("1", 0, spec.t)
-        if ones < spec.w:
-            return False
-        for j in range(n - spec.t):
-            ones += (bits[j + spec.t] == "1") - (bits[j] == "1")
-            if ones < spec.w:
-                return False
-        return True
-    if isinstance(spec, SEC):
-        n = len(bits)
-        if n % spec.length:
-            raise ValueError(
-                f"sequence length {n} is not a multiple of the subblock length {spec.length}"
-            )
-        return all(
-            bits.count("1", j, j + spec.length) >= spec.w
-            for j in range(0, n, spec.length)
-        )
-    raise TypeError(f"unknown constraint spec: {spec!r}")
+    return spec._accepts(bits)
 
 
 def enumerate_sequences(
@@ -125,72 +258,7 @@ def count_exact(
     """Number of valid length-n sequences, by exact integer recurrence."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if isinstance(spec, RLL):
-        return _count_rll(spec.d, n)
-    if isinstance(spec, SWC):
-        return _count_swc(spec.t, spec.w, n, state_budget)
-    if isinstance(spec, SEC):
-        return _count_sec(spec.length, spec.w, n)
-    raise TypeError(f"unknown constraint spec: {spec!r}")
-
-
-def _count_rll(d: int, n: int) -> int:
-    if n <= d:
-        return 1 << n
-    # states: no zero emitted yet, or j ones since the last zero (j capped at d)
-    free = 1
-    run = [0] * (d + 1)
-    for _ in range(n):
-        nxt = [0] * (d + 1)
-        nxt[0] = free + run[d]  # a zero is legal only after >= d ones, or first
-        for j in range(d):
-            nxt[j + 1] += run[j]
-        nxt[d] += run[d]
-        run = nxt
-    return free + sum(run)
-
-
-def _count_swc(t: int, w: int, n: int, state_budget: int) -> int:
-    if n < t:
-        return 1 << n
-    if t == 1:
-        return 1  # w == 1 forces the all-ones sequence
-    states = 1 << (t - 1)
-    if states > state_budget:
-        raise ResourceLimitError(
-            f"window length {t} needs 2^{t - 1} states, over the budget of {state_budget}"
-        )
-    half = states >> 1
-    pc = [bin(s).count("1") for s in range(states)]
-    # counts[s]: valid sequences whose last t-1 bits spell s; at length t-1
-    # every prefix is still valid
-    counts = [1] * states
-    for _ in range(t - 1, n):
-        counts = [
-            (counts[s >> 1] if pc[s] >= w else 0)
-            + (counts[(s >> 1) + half] if pc[s] + 1 >= w else 0)
-            for s in range(states)
-        ]
-    return sum(counts)
-
-
-def _count_sec(length: int, w: int, n: int) -> int:
-    if n % length:
-        raise ValueError(
-            f"sequence length {n} is not a multiple of the subblock length {length}"
-        )
-    # ones accumulated inside the current subblock -> count
-    state = {0: 1}
-    for i in range(n):
-        nxt: dict[int, int] = {}
-        for ones, cnt in state.items():
-            nxt[ones] = nxt.get(ones, 0) + cnt
-            nxt[ones + 1] = nxt.get(ones + 1, 0) + cnt
-        if (i + 1) % length == 0:
-            carried = sum(cnt for ones, cnt in nxt.items() if ones >= w)
-            nxt = {0: carried}
-        state = nxt
-    return sum(state.values())
+    return spec._count(n, state_budget)
 
 
 def sets_equal(
@@ -218,35 +286,6 @@ def adversarial_sequence(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if isinstance(spec, RLL):
-        if rll_feasible(spec.d, model):
-            raise NoWitnessError(f"{spec} avoids outage under {model}")
-        return ("0" + "1" * spec.d) * repetitions
-    if isinstance(spec, SWC):
-        if swc_feasible(spec.t, spec.w, model):
-            raise NoWitnessError(f"{spec} avoids outage under {model}")
-        ones_first = "1" * spec.w + "0" * (spec.t - spec.w)
-        zeros_first = "0" * (spec.t - spec.w) + "1" * spec.w
-        if spec.w < math.ceil(spec.t * model.b):
-            return ones_first * repetitions
-        return zeros_first * repetitions
-    if isinstance(spec, SEC):
-        if sec_feasible(spec.length, spec.w, model):
-            raise NoWitnessError(f"{spec} avoids outage under {model}")
-        ones_first = "1" * spec.w + "0" * (spec.length - spec.w)
-        zeros_first = "0" * (spec.length - spec.w) + "1" * spec.w
-        short_start = model.e_init < (spec.length - spec.w) * model.b
-        rate_ok = spec.w >= math.ceil(spec.length * model.b)
-        buffer_ok = model.e_max >= 2 * (spec.length - spec.w) * model.b
-        if short_start and rate_ok and buffer_ok:
-            return (zeros_first + ones_first) * repetitions
-        return (ones_first + zeros_first) * repetitions
-    raise TypeError(f"unknown constraint spec: {spec!r}")
-
-
-def _check_bits(bits: str) -> None:
-    if not isinstance(bits, str):
-        raise TypeError("bit sequence must be a str of '0'/'1'")
-    for ch in bits:
-        if ch not in "01":
-            raise ValueError(f"bit sequence may contain only '0' and '1', got {ch!r}")
+    if spec._feasible(model):
+        raise NoWitnessError(f"{spec} avoids outage under {model}")
+    return spec._witness(model) * repetitions

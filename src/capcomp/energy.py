@@ -15,6 +15,12 @@ All quantities are exact rationals.  Floats are rejected at the boundary
 because the feasibility conditions below take ceilings of products like
 T*B, which are discontinuous in B; a float that merely prints like 3/5
 can land on the wrong side of a threshold.
+
+The recursion itself runs once, in ``_run``: every quantity is scaled by
+the common denominator of B, E_max and E_init, so each step is plain int
+arithmetic and stays exact.  ``outage_occurs`` stops it at the first
+outage; ``simulate`` runs it to the end and turns the scaled levels back
+into Fractions only when it returns.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 RationalLike = Fraction | int | str
@@ -96,6 +103,12 @@ class EnergyModel:
             return self
         return EnergyModel(b=self.b, e_max=self.e_max, e_init=self.e_max)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, int, int, int]:
+        """(den, draw, cap, start): b, e_max and e_init times their common denominator."""
+        den = math.lcm(self.b.denominator, self.e_max.denominator, self.e_init.denominator)
+        return (den, *(int(q * den) for q in (self.b, self.e_max, self.e_init)))
+
 
 @dataclass
 class SimTrace:
@@ -109,9 +122,40 @@ class SimTrace:
 def _check_bits(bits: str) -> None:
     if not isinstance(bits, str):
         raise TypeError("bit sequence must be a str of '0'/'1'")
+    # stripping stops at the first character that is neither '0' nor '1'
+    bad = bits.strip("01")
+    if bad:
+        raise ValueError(f"bit sequence may contain only '0' and '1', got {bad[0]!r}")
+
+
+def _run(
+    bits: str, model: EnergyModel, stop_at_outage: bool
+) -> tuple[list[int], list[int], list[int]]:
+    """The battery recursion in units of 1/den, den = model._scaled[0].
+
+    Returns the scaled levels and the 1-indexed outage and overflow steps.
+    With stop_at_outage the run ends at the first outage, whose step is then
+    the last entry of the outage list.
+    """
+    _check_bits(bits)
+    den, draw, cap, level = model._scaled
+    up, down = den - draw, -draw
+    levels = [level]
+    outages: list[int] = []
+    overflows: list[int] = []
+    record = levels.append
     for ch in bits:
-        if ch not in "01":
-            raise ValueError(f"bit sequence may contain only '0' and '1', got {ch!r}")
+        level += up if ch == "1" else down
+        if level < 0:
+            outages.append(len(levels))
+            if stop_at_outage:
+                break
+            level = 0
+        elif level > cap:
+            overflows.append(len(levels))
+            level = cap
+        record(level)
+    return levels, outages, overflows
 
 
 def simulate(bits: str, model: EnergyModel) -> SimTrace:
@@ -120,44 +164,20 @@ def simulate(bits: str, model: EnergyModel) -> SimTrace:
     Returns the full level trajectory (n+1 entries for n bits) and the
     1-indexed steps at which outages and overflows occurred.
     """
-    _check_bits(bits)
-    level = model.e_init
-    levels = [level]
-    outages: list[int] = []
-    overflows: list[int] = []
-    for i, ch in enumerate(bits, start=1):
-        avail = level + 1 if ch == "1" else level
-        if avail < model.b:
-            outages.append(i)
-        if avail - model.b > model.e_max:
-            overflows.append(i)
-        level = min(max(avail - model.b, Fraction(0)), model.e_max)
-        levels.append(level)
-    return SimTrace(levels=levels, outages=outages, overflows=overflows)
+    levels, outages, overflows = _run(bits, model, stop_at_outage=False)
+    den = model._scaled[0]
+    # one Fraction per distinct level: a long trace revisits few levels
+    exact = {level: Fraction(level, den) for level in set(levels)}
+    return SimTrace([exact[level] for level in levels], outages, overflows)
 
 
 def outage_occurs(bits: str, model: EnergyModel) -> bool:
-    """Integer-scaled outage predicate, equivalent to simulate() but allocation-free.
+    """Whether the battery recursion hits an outage anywhere on the sequence.
 
-    Scales every quantity by the common denominator so the inner loop is pure
-    int arithmetic; used by the exhaustive verification sweeps.
+    Same recursion as simulate(), stopped at the first outage and with no
+    Fractions built; used by the exhaustive verification sweeps.
     """
-    _check_bits(bits)
-    den = math.lcm(
-        model.b.denominator, model.e_max.denominator, model.e_init.denominator
-    )
-    draw = model.b.numerator * (den // model.b.denominator)
-    cap = model.e_max.numerator * (den // model.e_max.denominator)
-    level = model.e_init.numerator * (den // model.e_init.denominator)
-    for ch in bits:
-        if ch == "1":
-            level += den
-        if level < draw:
-            return True
-        level -= draw
-        if level > cap:
-            level = cap
-    return False
+    return bool(_run(bits, model, stop_at_outage=True)[1])
 
 
 def rll_feasible(d: int, model: EnergyModel) -> bool:

@@ -9,7 +9,7 @@ outage:       feasibility conditions vs exact simulation, both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 from .bounds import sandwich_bounds, swc_lower_bound
@@ -31,7 +31,7 @@ from .constraints import (
     satisfies,
     sets_equal,
 )
-from .energy import EnergyModel, outage_occurs, rll_feasible, sec_feasible, swc_feasible
+from .energy import EnergyModel, outage_occurs
 
 MODEL_B_GRID = ("1/4", "1/2", "3/5", "3/4")
 MODEL_EMAX_GRID = ("1/4", "1/2", "1", "3/2", "2", "3")
@@ -51,64 +51,49 @@ def _valid(spec: ConstraintSpec, n: int) -> tuple[str, ...]:
     return tuple(enumerate_sequences(spec, n))
 
 
+# how the suites name a spec in check names and details
+_SPEC_TEXT = {"rll": "rll d={}", "swc": "swc t={} w={}", "sec": "sec L={} w={}"}
+
+
+def _spec_text(spec: ConstraintSpec) -> str:
+    return _SPEC_TEXT[spec.family].format(*astuple(spec))
+
+
+def _windows(max_t: int) -> list[SWC]:
+    return [SWC(t, w) for t in range(1, max_t + 1) for w in range(1, t + 1)]
+
+
+def _subblocks(max_l: int) -> list[SEC]:
+    return [SEC(length, w) for length in range(1, max_l + 1) for w in range(1, length + 1)]
+
+
+def _count_check(spec: ConstraintSpec, lengths: range, max_n: int) -> Check:
+    bad = next((n for n in lengths if count_exact(spec, n) != len(_valid(spec, n))), None)
+    return Check(
+        name=f"counts: recurrence vs enumeration, {_spec_text(spec)}, n<={max_n}",
+        passed=bad is None,
+        detail="" if bad is None else f"first mismatch at n={bad}",
+    )
+
+
 def suite_counts(max_n: int = 16, max_d: int = 4, max_t: int = 6, max_l: int = 6) -> list[Check]:
-    checks = []
-    for d in range(1, max_d + 1):
-        spec = RLL(d)
-        bad = next(
-            (n for n in range(max_n + 1) if count_exact(spec, n) != len(_valid(spec, n))),
-            None,
+    checks = [
+        _count_check(spec, range(max_n + 1), max_n)
+        for spec in [RLL(d) for d in range(1, max_d + 1)] + _windows(max_t)
+    ]
+    for spec in _subblocks(max_l):
+        checks.append(_count_check(spec, range(0, max_n + 1, spec.length), max_n))
+        block_words = len(_valid(spec, spec.length))
+        product_ok = all(
+            count_exact(spec, k * spec.length) == block_words**k for k in range(1, 4)
         )
         checks.append(
             Check(
-                name=f"counts: recurrence vs enumeration, rll d={d}, n<={max_n}",
-                passed=bad is None,
-                detail="" if bad is None else f"first mismatch at n={bad}",
+                name=f"counts: product rule, {_spec_text(spec)}, k<=3",
+                passed=product_ok,
+                detail="" if product_ok else f"block words {block_words}",
             )
         )
-    for t in range(1, max_t + 1):
-        for w in range(1, t + 1):
-            spec = SWC(t, w)
-            bad = next(
-                (n for n in range(max_n + 1) if count_exact(spec, n) != len(_valid(spec, n))),
-                None,
-            )
-            checks.append(
-                Check(
-                    name=f"counts: recurrence vs enumeration, swc t={t} w={w}, n<={max_n}",
-                    passed=bad is None,
-                    detail="" if bad is None else f"first mismatch at n={bad}",
-                )
-            )
-    for length in range(1, max_l + 1):
-        for w in range(1, length + 1):
-            spec = SEC(length, w)
-            bad = next(
-                (
-                    n
-                    for n in range(0, max_n + 1, length)
-                    if count_exact(spec, n) != len(_valid(spec, n))
-                ),
-                None,
-            )
-            block_words = len(_valid(SEC(length, w), length))
-            product_ok = all(
-                count_exact(spec, k * length) == block_words**k for k in range(1, 4)
-            )
-            checks.append(
-                Check(
-                    name=f"counts: recurrence vs enumeration, sec L={length} w={w}, n<={max_n}",
-                    passed=bad is None,
-                    detail="" if bad is None else f"first mismatch at n={bad}",
-                )
-            )
-            checks.append(
-                Check(
-                    name=f"counts: product rule, sec L={length} w={w}, k<=3",
-                    passed=product_ok,
-                    detail="" if product_ok else f"block words {block_words}",
-                )
-            )
     return checks
 
 
@@ -330,6 +315,15 @@ def _find_outage_witness(
     return None
 
 
+# per family for the outage suite: the specs tried, and the lengths a
+# feasible spec is swept over
+_OUTAGE_GRID = (
+    ([RLL(d) for d in range(1, 5)], lambda spec, max_len: range(spec.d + 1, max_len + 1)),
+    (_windows(6), lambda spec, max_len: range(spec.t, max_len + 1)),
+    (_subblocks(6), lambda spec, max_len: (spec.length, 2 * spec.length, 3 * spec.length)),
+)
+
+
 def suite_outage(max_len: int = 16, reps_cap: int = 4096) -> list[Check]:
     """Feasibility conditions against simulation, in both directions.
 
@@ -343,66 +337,24 @@ def suite_outage(max_len: int = 16, reps_cap: int = 4096) -> list[Check]:
         for e_str in MODEL_EMAX_GRID:
             model = EnergyModel.make(b_str, e_str)
             label = f"b={b_str} emax={e_str}"
-
-            bad = None
-            for d in range(1, 5):
-                spec = RLL(d)
-                if rll_feasible(d, model):
-                    witness = _outage_free_everywhere(
-                        spec, model, range(d + 1, max_len + 1)
+            for specs, lengths in _OUTAGE_GRID:
+                bad = None
+                for spec in specs:
+                    if spec._feasible(model):
+                        witness = _outage_free_everywhere(spec, model, lengths(spec, max_len))
+                        if witness is not None:
+                            bad = f"feasible {_spec_text(spec)} outages on {witness}"
+                            break
+                    elif _find_outage_witness(spec, model, reps_cap) is None:
+                        bad = f"infeasible {_spec_text(spec)} produced no outage witness"
+                        break
+                checks.append(
+                    Check(
+                        name=f"outage iff, {specs[0].family}, {label}",
+                        passed=bad is None,
+                        detail=bad or "",
                     )
-                    if witness is not None:
-                        bad = f"feasible rll d={d} outages on {witness}"
-                        break
-                else:
-                    if _find_outage_witness(spec, model, reps_cap) is None:
-                        bad = f"infeasible rll d={d} produced no outage witness"
-                        break
-            checks.append(
-                Check(name=f"outage iff, rll, {label}", passed=bad is None, detail=bad or "")
-            )
-
-            bad = None
-            for t in range(1, 7):
-                for w in range(1, t + 1):
-                    spec = SWC(t, w)
-                    if swc_feasible(t, w, model):
-                        witness = _outage_free_everywhere(
-                            spec, model, range(t, max_len + 1)
-                        )
-                        if witness is not None:
-                            bad = f"feasible swc t={t} w={w} outages on {witness}"
-                            break
-                    else:
-                        if _find_outage_witness(spec, model, reps_cap) is None:
-                            bad = f"infeasible swc t={t} w={w} produced no outage witness"
-                            break
-                if bad:
-                    break
-            checks.append(
-                Check(name=f"outage iff, swc, {label}", passed=bad is None, detail=bad or "")
-            )
-
-            bad = None
-            for length in range(1, 7):
-                for w in range(1, length + 1):
-                    spec = SEC(length, w)
-                    if sec_feasible(length, w, model):
-                        witness = _outage_free_everywhere(
-                            spec, model, (length, 2 * length, 3 * length)
-                        )
-                        if witness is not None:
-                            bad = f"feasible sec L={length} w={w} outages on {witness}"
-                            break
-                    else:
-                        if _find_outage_witness(spec, model, reps_cap) is None:
-                            bad = f"infeasible sec L={length} w={w} produced no outage witness"
-                            break
-                if bad:
-                    break
-            checks.append(
-                Check(name=f"outage iff, sec, {label}", passed=bad is None, detail=bad or "")
-            )
+                )
     return checks
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +38,18 @@ class TestRunLengthCapacity:
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
             rll_capacity(0)
+
+    @pytest.mark.parametrize("d", [9999, 10**6])
+    def test_large_d_matches_log_form_root(self, d):
+        # X^d overflows a float here; the root solves d*ln(X) + ln(X - 1) = 0
+        with mpmath.workdps(50):
+            root = mpmath.findroot(
+                lambda x: d * mpmath.log(x) + mpmath.log(x - 1),
+                (1 + mpmath.mpf(1) / d**2, 2),
+                solver="anderson",
+            )
+            oracle = float(mpmath.log(root, 2))
+        assert abs(rll_capacity(d).value - oracle) < 1e-11
 
 
 class TestSubblockCapacity:

@@ -74,6 +74,14 @@ class TestOutage:
         assert record["method"] == "exact"
         assert abs(record["value"] - 2 / 3) < 1e-12
 
+    def test_large_run_length_has_no_overflow(self, capsys):
+        # d = 9999, where the characteristic polynomial overflows a float
+        rc, out, err = run(
+            capsys, "outage", "--family", "rll", "--b", "9999/10000", "--emax", "1"
+        )
+        assert (rc, err) == (0, "")
+        assert out == "0.001043 (d=9999)\n"
+
     def test_bad_rational(self, capsys):
         rc, _, err = run(
             capsys,
@@ -128,6 +136,11 @@ class TestSimulate:
     def test_bits_required_without_adversarial(self, capsys):
         rc, _, err = run(capsys, "simulate", "--b", "1/2", "--emax", "1")
         assert rc == 1 and err.startswith("error:")
+
+    def test_adversarial_requires_family(self, capsys):
+        rc, out, err = run(capsys, "simulate", "--b", "1/2", "--emax", "1", "--adversarial")
+        assert (rc, out) == (1, "")
+        assert err == "error: simulate needs --bits, or --adversarial with a constraint family\n"
 
 
 class TestSweep:
@@ -212,3 +225,41 @@ class TestConfig:
         cfg.write_text("spectral_budget = 9\n")
         rc, _, err = run(capsys, "--config", str(cfg), *self.SWC_BIG)
         assert rc == 1 and err.startswith("error:")
+
+
+# per family: the flags it needs, the missing-flag error, and the params keys
+# the simulate JSON reports for it
+FAMILY_FLAGS = [
+    ("rll", ["--d", "2"], "rll requires --d", ["d"]),
+    ("swc", ["--t", "3", "--w", "1"], "swc requires --t and --w", ["t", "w"]),
+    ("sec", ["--l", "3", "--w", "1"], "sec requires --l and --w", ["l", "w"]),
+]
+
+
+class TestFamilyBinding:
+    @pytest.mark.parametrize("family,flags,message,_keys", FAMILY_FLAGS)
+    def test_each_missing_flag_is_named(self, capsys, family, flags, message, _keys):
+        # drop each flag (with its value) in turn
+        for i in range(0, len(flags), 2):
+            partial = flags[:i] + flags[i + 2:]
+            for argv in (
+                ["capacity", "--family", family, *partial],
+                ["simulate", "--b", "3/5", "--emax", "1/2",
+                 "--family", family, *partial, "--adversarial"],
+            ):
+                rc, out, err = run(capsys, *argv)
+                assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("family,flags,_message,keys", FAMILY_FLAGS)
+    def test_adversarial_params_keys(self, capsys, family, flags, _message, keys):
+        # a buffer below one draw makes every family infeasible
+        rc, out, _ = run(
+            capsys,
+            "simulate", "--b", "3/5", "--emax", "1/2",
+            "--family", family, *flags, "--adversarial", "--reps", "2",
+        )
+        params = json.loads(out)["params"]
+        assert rc == 0
+        assert list(params) == ["b", "e_max", "e_init", "family", *keys, "repetitions"]
+        assert params["family"] == family
+        assert [params[k] for k in keys] == [int(v) for v in flags[1::2]]

@@ -24,6 +24,21 @@ def model(b, e_max, e_init=None):
     return EnergyModel.make(b, e_max, e_init)
 
 
+def reference_trace(bits, m):
+    """The battery recursion step by step in Fractions, as the module docstring states it."""
+    level = m.e_init
+    levels, outages, overflows = [level], [], []
+    for i, ch in enumerate(bits, start=1):
+        avail = level + 1 if ch == "1" else level
+        if avail < m.b:
+            outages.append(i)
+        if avail - m.b > m.e_max:
+            overflows.append(i)
+        level = min(max(avail - m.b, Fraction(0)), m.e_max)
+        levels.append(level)
+    return levels, outages, overflows
+
+
 class TestParseRational:
     def test_fraction_forms(self):
         assert parse_rational("3/5") == Fraction(3, 5)
@@ -106,10 +121,11 @@ class TestSimulate:
         e_init = e_max * frac
         m = EnergyModel(b=b, e_max=e_max, e_init=e_init)
         tr = simulate(bits, m)
+        levels, outages, overflows = reference_trace(bits, m)
         assert len(tr.levels) == len(bits) + 1
         assert all(0 <= level <= e_max for level in tr.levels)
-        assert tr.levels == simulate(bits, m).levels
-        assert outage_occurs(bits, m) == bool(tr.outages)
+        assert (tr.levels, tr.outages, tr.overflows) == (levels, outages, overflows)
+        assert outage_occurs(bits, m) == bool(outages)
 
 
 class TestFeasibility:
