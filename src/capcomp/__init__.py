@@ -24,7 +24,6 @@ from .constraints import (
 from .energy import (
     EnergyModel,
     SimTrace,
-    default_sec_l_cap,
     feasible_sec_candidates,
     feasible_swc_candidates,
     outage_occurs,
@@ -64,7 +63,6 @@ __all__ = [
     "adversarial_sequence",
     "binary_entropy",
     "count_exact",
-    "default_sec_l_cap",
     "entropy_ceiling",
     "enumerate_sequences",
     "feasible_sec_candidates",

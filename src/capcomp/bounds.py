@@ -14,19 +14,19 @@ def sandwich_bounds(t: int, w: int) -> tuple[float, float]:
     return (t / (t + w)) * sub, sub
 
 
-def swc_lower_bound(t: int, w: int, m_max: int = DEFAULT_M_MAX) -> CapacityResult:
+def swc_lower_bound(t: int, w: int) -> CapacityResult:
     """Best of a family of subblock constructions that embed into the window rule.
 
     Candidates: the (T-1, ceil((T+w-2)/2)) subblock code, and for each split
-    depth m the (floor(T/(m+1)), ceil(w/m)) subblock code.  Splits whose
-    required weight exceeds the subblock length are skipped.
+    depth m = 1..DEFAULT_M_MAX the (floor(T/(m+1)), ceil(w/m)) subblock code.
+    Splits whose required weight exceeds the subblock length are skipped.
     """
     if t < 1 or not 1 <= w <= t:
         raise ValueError(f"need 1 <= w <= t, got t={t} w={w}")
     best = 0.0
     if t >= 2:
         best = sec_capacity(t - 1, (t + w - 1) // 2).value
-    for m in range(1, m_max + 1):
+    for m in range(1, DEFAULT_M_MAX + 1):
         sub_len = t // (m + 1)
         sub_w = -(-w // m)
         if sub_len >= 1 and sub_w <= sub_len:

@@ -142,8 +142,11 @@ def _swc_spectral_cached(t: int, w: int, tol: float) -> tuple[float, float]:
         est_prev = est
         vec = nxt / total
         if streak >= _CONVERGENCE_STREAK:
-            break
-    return math.log2(est_prev), delta
+            return math.log2(est_prev), delta
+    raise ResourceLimitError(
+        f"power iteration for window ({t}, {w}) did not converge within "
+        f"{_MAX_POWER_ITER} iterations; last delta {delta:.3g}"
+    )
 
 
 def swc_capacity_exact(
@@ -157,7 +160,8 @@ def swc_capacity_exact(
     Power iteration from the all-ones vector; the admissible-window graph has
     a single aperiodic recurrent class reachable from every live state (from
     any extendable state, appending a 1 is always legal), so the normalized
-    iterates converge to the dominant eigenvalue.
+    iterates converge to the dominant eigenvalue.  Raises ResourceLimitError
+    when the estimate has not settled within _MAX_POWER_ITER iterations.
     """
     _check_swc_args(t, w, state_budget)
     if w == t:

@@ -89,13 +89,13 @@ def cmd_capacity(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-# zero-outage optimizer per --family choice, given (model, state budget, subblock cap)
+# zero-outage optimizer per --family choice, given (model, state budget)
 _OPTIMIZERS = {
-    "rll": lambda model, budget, l_cap: outage.o_rll(model),
-    "swc": lambda model, budget, l_cap: outage.o_swc(model, state_budget=budget),
-    "sec": lambda model, budget, l_cap: outage.o_sec(model, l_cap=l_cap),
-    "swc-lower": lambda model, budget, l_cap: outage.o_swc_lower_explicit(model),
-    "sec-lower": lambda model, budget, l_cap: outage.o_sec_lower_explicit(model),
+    "rll": lambda model, budget: outage.o_rll(model),
+    "swc": lambda model, budget: outage.o_swc(model, state_budget=budget),
+    "sec": lambda model, budget: outage.o_sec(model),
+    "swc-lower": lambda model, budget: outage.o_swc_lower_explicit(model),
+    "sec-lower": lambda model, budget: outage.o_sec_lower_explicit(model),
 }
 
 
@@ -103,7 +103,7 @@ def cmd_outage(args: argparse.Namespace, cfg: dict) -> int:
     model = EnergyModel.make(args.b, args.emax)
     budget = args.state_budget if args.state_budget is not None else cfg["state_budget"]
     if args.family == "all":
-        report = outage.gap_report(model, state_budget=budget, l_cap=args.lcap)
+        report = outage.gap_report(model, state_budget=budget)
         if args.json:
             record = {
                 key: _result_dict(val) if isinstance(val, outage.OutageResult) else val
@@ -117,7 +117,7 @@ def cmd_outage(args: argparse.Namespace, cfg: dict) -> int:
             print(f"gap_sec_rll: {report['gap_sec_rll']:.6f}")
             print(f"ceiling: {report['ceiling']:.6f}")
         return 0
-    res = _OPTIMIZERS[args.family](model, budget, args.lcap)
+    res = _OPTIMIZERS[args.family](model, budget)
     if args.json:
         print(json.dumps(_result_dict(res)))
     else:
@@ -125,17 +125,21 @@ def cmd_outage(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
+# the paper's grids have 19 and 121 rows
+_MAX_SWEEP_ROWS = 10_000
+
+
 def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
     if step <= 0:
         raise ValueError("--step must be positive")
     if stop < start:
         raise ValueError("--to must be >= --from")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
-    return values
+    rows = (stop - start) // step + 1
+    if rows > _MAX_SWEEP_ROWS:
+        raise ResourceLimitError(
+            f"sweep grid has {rows} rows, over the limit of {_MAX_SWEEP_ROWS}"
+        )
+    return [start + i * step for i in range(rows)]
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
@@ -152,7 +156,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
             model = EnergyModel(b=value, e_max=e_max, e_init=e_max)
         rll = outage.o_rll(model)
         swc = outage.o_swc(model, state_budget=budget)
-        sec = outage.o_sec(model, l_cap=args.lcap)
+        sec = outage.o_sec(model)
         rows.append(
             [
                 _format_rational(value),
@@ -258,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="per-use draw, exact rational")
     p.add_argument("--emax", required=True, help="buffer capacity, exact rational")
     p.add_argument("--state-budget", type=int)
-    p.add_argument("--lcap", type=int, help="subblock search cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_outage)
 
@@ -271,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", required=True)
     p.add_argument("--out", help="CSV path; stdout when omitted")
     p.add_argument("--state-budget", type=int)
-    p.add_argument("--lcap", type=int)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="exact battery trace for a sequence, as JSON")

@@ -229,29 +229,36 @@ def feasible_swc_candidates(model: EnergyModel) -> list[tuple[int, int]]:
     return out
 
 
-def feasible_sec_candidates(
-    model: EnergyModel, l_cap: int | None = None
-) -> list[tuple[int, int]]:
-    """Outage-free (L, w) pairs up to a search cap on the subblock length.
+def feasible_sec_candidates(model: EnergyModel) -> list[tuple[int, int]]:
+    """Outage-free (L, w) pairs that can carry the maximum rate.
 
-    The least admissible weight is max(ceil(L*b), L - z2) with
-    z2 = floor(e_max / (2*b)).  Every returned pair passes sec_feasible.
+    For each subblock length L the least admissible weight is
+    max(ceil(L*b), L - z2) with z2 = floor(e_max / (2*b)), and subblock
+    lengths beyond the pivot P = ceil(z2 / (1 - b)) cannot beat L = P.
+    Every returned pair passes sec_feasible.
+
+    Proof that the scan may stop at P.  For L >= P, L - z2 >= L*b, so the
+    least admissible weight is exactly L - z2 (and the pairs past P are all
+    feasible or all not, since (L - w)*b = z2*b for each).  The candidate's
+    rate is then f(L) = (1/L) log2 S(L) with S(L) = sum of C(L, j), j <= z2,
+    and Pascal's rule gives S(L+1) = 2 S(L) - C(L, z2).  So the increment
+    log2 S(L+1) - log2 S(L) is log2(2 - r(L)) with r(L) = C(L, z2)/S(L).
+    r(L) = 0 for L < z2, and for L >= z2
+        1/r(L) = sum over i <= z2 of prod over m < i of
+                 (z2 - m) / (L - z2 + m + 1),
+    where every factor is nonincreasing in L.  So r is nondecreasing and the
+    increments are nonincreasing in L >= 0.  As log2 S(0) = 0, f(L) is the
+    mean of the first L increments, which is nonincreasing too: no L > P
+    beats L = P, and the optimizers keep the smallest length on ties.  When
+    z2 = 0 the scan still returns (1, 1), the rate-zero full-weight code.
     """
     z2 = math.floor(model.e_max / (2 * model.b))
-    if l_cap is None:
-        l_cap = default_sec_l_cap(model)
     out = []
-    for length in range(1, l_cap + 1):
+    for length in range(1, max(1, math.ceil(z2 / (1 - model.b))) + 1):
         w = max(math.ceil(length * model.b), length - z2)
         if sec_feasible(length, w, model):
             out.append((length, w))
     return out
-
-
-def default_sec_l_cap(model: EnergyModel) -> int:
-    """Search cap comfortably past the interior maximizer of the subblock rate."""
-    z2 = math.floor(model.e_max / (2 * model.b))
-    return max(64, 4 * math.ceil(z2 / (1 - model.b)))
 
 
 def preamble_length(model: EnergyModel) -> int:

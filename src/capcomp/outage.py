@@ -14,7 +14,6 @@ and the result is tagged accordingly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .bounds import entropy_ceiling, sandwich_bounds, swc_lower_bound
@@ -107,29 +106,26 @@ def o_swc_lower_explicit(model: EnergyModel) -> OutageResult:
     return OutageResult(value=value, params=(t, w), method="lower-bound", ceiling=ceiling)
 
 
-def o_sec(model: EnergyModel, l_cap: int | None = None) -> OutageResult:
-    """Best subblock rate with zero outages, exact over the candidate family.
+def o_sec(model: EnergyModel) -> OutageResult:
+    """Best subblock rate with zero outages, exact over every subblock length.
 
-    Ties go to the smallest subblock length.  Warns if the maximizer sits on
-    the search cap, since a larger cap could then still improve the value.
+    The scan stops at the pivot P = ceil(z2 / (1 - b)), z2 = floor(e_max/(2b)):
+    from P on the least admissible weight is L - z2, and the rate
+    (1/L) log2 S(L), S(L) = sum_{j <= z2} C(L, j), is the running mean of the
+    increments log2(2 - C(L, z2)/S(L)), which do not increase with L; so no
+    longer subblock beats L = P (full proof in feasible_sec_candidates).
+    Ties go to the smallest length.
     """
     model = model.with_full_buffer()
     ceiling = entropy_ceiling(model.b)
-    candidates = feasible_sec_candidates(model, l_cap)
     best_value = 0.0
     best_params: tuple[int, ...] | None = None
-    for length, w in candidates:
+    for length, w in feasible_sec_candidates(model):
         value = sec_capacity(length, w).value
         if best_params is None or value > best_value:
             best_value, best_params = value, (length, w)
     if best_params is None:
         return OutageResult(value=0.0, params=None, method="exact", ceiling=ceiling)
-    if best_params[0] == candidates[-1][0]:
-        warnings.warn(
-            f"subblock maximizer sits on the search cap L={best_params[0]}; "
-            "raise l_cap to confirm the optimum",
-            stacklevel=2,
-        )
     return OutageResult(
         value=best_value, params=best_params, method="exact", ceiling=ceiling
     )
@@ -157,15 +153,11 @@ def o_sec_lower_explicit(model: EnergyModel) -> OutageResult:
     )
 
 
-def gap_report(
-    model: EnergyModel,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    l_cap: int | None = None,
-) -> dict:
+def gap_report(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
     """All three outage-free optima side by side, with rate gaps and ceiling."""
     rll = o_rll(model)
     swc = o_swc(model, state_budget=state_budget)
-    sec = o_sec(model, l_cap=l_cap)
+    sec = o_sec(model)
     return {
         "o_rll": rll,
         "o_swc": swc,

@@ -122,6 +122,12 @@ class TestWindowCapacity:
         with pytest.raises(ResourceLimitError):
             swc_capacity_growth(22, 3, state_budget=1 << 20)
 
+    def test_unconverged_power_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)
+        # a tolerance no other test uses, so the solve is not a cache hit
+        with pytest.raises(ResourceLimitError, match=r"\(12, 6\).*last delta"):
+            swc_capacity_exact(12, 6, tol=1e-13)
+
     def test_growth_nmax_flags_residual(self):
         res = swc_capacity_growth(6, 4, n_max=12)
         assert res.residual > 0.0  # not converged in so few steps

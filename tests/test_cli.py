@@ -82,6 +82,12 @@ class TestOutage:
         assert (rc, err) == (0, "")
         assert out == "0.001043 (d=9999)\n"
 
+    def test_subblock_cap_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "outage", "--family", "sec", "--b", "3/5", "--emax", "6/5",
+                "--lcap", "3")
+        assert exc.value.code == 2
+
     def test_bad_rational(self, capsys):
         rc, _, err = run(
             capsys,
@@ -175,6 +181,14 @@ class TestSweep:
         )
         assert rc == 1 and err.startswith("error:")
 
+    def test_rejects_an_oversized_grid(self, capsys):
+        rc, out, err = run(
+            capsys, "sweep", "--vary", "emax", "--b", "3/5",
+            "--from", "0", "--to", "12", "--step", "1/1000000",
+        )
+        assert (rc, out) == (1, "")
+        assert err == "error: sweep grid has 12000001 rows, over the limit of 10000\n"
+
     def test_rejects_nonpositive_step(self, capsys):
         rc, _, err = run(
             capsys, "sweep", "--vary", "emax", "--b", "1/2",
@@ -219,6 +233,13 @@ class TestConfig:
         monkeypatch.setenv("CAPCOMP_STATE_BUDGET", "8")
         rc, out, _ = run(capsys, *self.SWC_BIG, "--state-budget", "1024")
         assert rc == 0 and out.strip().count("\n") == 0
+
+    def test_unconverged_power_iteration_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)
+        monkeypatch.setenv("CAPCOMP_SPECTRAL_TOL", "1e-13")
+        rc, out, err = run(capsys, "capacity", "--family", "swc", "--t", "12", "--w", "6")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: power iteration for window (12, 6) did not converge")
 
     def test_unknown_config_key_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -160,8 +160,9 @@ class TestCandidates:
         assert feasible_swc_candidates(model("3/5", "1/2")) == []
 
     def test_sec_includes_the_known_optimum(self):
+        # the family ends at the pivot: z2 = 8, ceil(8 / (2/5)) = 20
         cands = feasible_sec_candidates(model("3/5", "10"))
-        assert (20, 12) in cands
+        assert cands[-1] == (20, 12)
 
     def test_sec_all_full_weight_when_buffer_small(self):
         cands = feasible_sec_candidates(model("3/5", "1"))

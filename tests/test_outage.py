@@ -1,5 +1,6 @@
 """Outage-free rate optimizers and their guarantees."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from capcomp import (
     o_swc,
     o_swc_lower_explicit,
     rll_capacity,
+    sec_capacity,
     sec_feasible,
     swc_feasible,
 )
@@ -110,10 +112,25 @@ class TestSubblock:
         assert res.params == (20, 12)
         assert abs(res.value - 0.9004952570222677) < 1e-12
 
-    def test_warns_on_search_cap(self):
-        with pytest.warns(UserWarning):
-            res = o_sec(model("3/5", "6/5"), l_cap=3)
-        assert res.params == (3, 2)
+    @pytest.mark.parametrize("b", ["1/20", "1/4", "1/2", "3/5", "3/4", "19/20"])
+    def test_matches_a_scan_far_past_the_pivot(self, b):
+        # plain search over every feasible (L, w), well beyond the pivot the
+        # optimizer stops at; capacity falls with w, so each L keeps its
+        # smallest feasible weight, and ties keep the smallest L
+        for e_max in (Fraction(k, 2) for k in range(21)):
+            m = model(b, e_max)
+            z2 = math.floor(m.e_max / (2 * m.b))
+            pivot = max(1, math.ceil(z2 / (1 - m.b)))
+            best_value, best_params = 0.0, None
+            for length in range(1, 4 * pivot + 65):
+                w = length
+                while w > 1 and sec_feasible(length, w - 1, m):
+                    w -= 1
+                value = sec_capacity(length, w).value
+                if best_params is None or value > best_value:
+                    best_value, best_params = value, (length, w)
+            res = o_sec(m)
+            assert (res.value, res.params) == (best_value, best_params), (b, e_max)
 
     def test_achieving_params_are_feasible(self):
         for e_max in EMAX_GRID:
