@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from .capacity import CapacityResult, binary_entropy, sec_capacity
 from .config import DEFAULT_M_MAX
+from .errors import _check_pair
 
 
 def sandwich_bounds(t: int, w: int) -> tuple[float, float]:
@@ -21,8 +22,7 @@ def swc_lower_bound(t: int, w: int) -> CapacityResult:
     depth m = 1..DEFAULT_M_MAX the (floor(T/(m+1)), ceil(w/m)) subblock code.
     Splits whose required weight exceeds the subblock length are skipped.
     """
-    if t < 1 or not 1 <= w <= t:
-        raise ValueError(f"need 1 <= w <= t, got t={t} w={w}")
+    _check_pair(t, w, "swc")
     best = 0.0
     if t >= 2:
         best = sec_capacity(t - 1, (t + w - 1) // 2).value

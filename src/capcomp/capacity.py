@@ -23,7 +23,7 @@ from .config import (
     ROOT_TOL,
     SPECTRAL_TOL,
 )
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _check_pair
 
 # consecutive sub-tolerance deltas required before an iteration is trusted;
 # a single small delta can be the extremum of a decaying oscillation
@@ -69,10 +69,7 @@ def rll_capacity(d: int, tol: float = ROOT_TOL) -> CapacityResult:
 
 def sec_capacity(length: int, w: int) -> CapacityResult:
     """(1/L) * log2(sum of C(L, i) for i = w..L), evaluated exactly."""
-    if length < 1:
-        raise ValueError("subblock length must be >= 1")
-    if not 1 <= w <= length:
-        raise ValueError(f"w must satisfy 1 <= w <= length, got {w}")
+    _check_pair(length, w, "sec")
     total = sum(math.comb(length, i) for i in range(w, length + 1))
     return CapacityResult(value=math.log2(total) / length, method="closed-form")
 
@@ -116,10 +113,7 @@ def _window_tables(t: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def _check_swc_args(t: int, w: int, state_budget: int) -> None:
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not 1 <= w <= t:
-        raise ValueError(f"w must satisfy 1 <= w <= t, got {w}")
+    _check_pair(t, w, "swc")
     if w < t and (1 << (t - 1)) > state_budget:
         raise ResourceLimitError(
             f"window length {t} needs 2^{t - 1} states, over the budget of {state_budget}"

@@ -144,37 +144,37 @@ def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fractio
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     budget = args.state_budget if args.state_budget is not None else cfg["state_budget"]
-    start = parse_rational(args.start)
-    stop = parse_rational(args.stop)
-    step = parse_rational(args.step)
-    rows = []
-    for value in _sweep_grid(start, stop, step):
-        if args.vary == "emax":
-            model = EnergyModel(b=parse_rational(args.b), e_max=value, e_init=value)
-        else:
-            e_max = parse_rational(args.emax)
-            model = EnergyModel(b=value, e_max=e_max, e_init=e_max)
-        rll = outage.o_rll(model)
-        swc = outage.o_swc(model, state_budget=budget)
-        sec = outage.o_sec(model)
-        rows.append(
-            [
-                _format_rational(value),
-                f"{rll.value:.6f}",
-                f"{swc.value:.6f}",
-                swc.method,
-                f"{sec.value:.6f}",
-                sec.method,
-                f"{rll.ceiling:.6f}",
-            ]
-        )
+    grid = _sweep_grid(
+        parse_rational(args.start), parse_rational(args.stop), parse_rational(args.step)
+    )
+    # every model is built, and so checked, before the first row is written
+    if args.vary == "emax":
+        b = parse_rational(args.b)
+        models = [EnergyModel(b=b, e_max=value, e_init=value) for value in grid]
+    else:
+        e_max = parse_rational(args.emax)
+        models = [EnergyModel(b=value, e_max=e_max, e_init=e_max) for value in grid]
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["param", "o_rll", "o_swc", "o_swc_method", "o_sec", "o_sec_method", "ceiling"]
         )
-        writer.writerows(rows)
+        for value, model in zip(grid, models):
+            rll = outage.o_rll(model)
+            swc = outage.o_swc(model, state_budget=budget)
+            sec = outage.o_sec(model)
+            writer.writerow(
+                [
+                    _format_rational(value),
+                    f"{rll.value:.6f}",
+                    f"{swc.value:.6f}",
+                    swc.method,
+                    f"{sec.value:.6f}",
+                    sec.method,
+                    f"{rll.ceiling:.6f}",
+                ]
+            )
     finally:
         if out is not sys.stdout:
             out.close()
@@ -215,12 +215,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
-    checks = verify.run_suite(
-        args.suite,
-        max_n=args.max_n,
-        max_len=args.max_n,
-        reps_cap=args.reps_cap,
-    )
+    checks = verify.run_suite(args.suite, max_n=args.max_n, reps_cap=args.reps_cap)
     failed = [c for c in checks if not c.passed]
     if args.json:
         print(json.dumps([dataclasses.asdict(c) for c in checks]))

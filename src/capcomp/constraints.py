@@ -25,7 +25,7 @@ from typing import ClassVar
 
 from .config import DEFAULT_ENUM_LIMIT, DEFAULT_STATE_BUDGET
 from .energy import EnergyModel, _check_bits, rll_feasible, sec_feasible, swc_feasible
-from .errors import NoWitnessError, ResourceLimitError
+from .errors import NoWitnessError, ResourceLimitError, _check_pair
 
 
 class _Family:
@@ -111,10 +111,7 @@ class SWC(_Family):
     labels = ("T", "w")
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-        if not 1 <= self.w <= self.t:
-            raise ValueError(f"w must satisfy 1 <= w <= t, got {self.w}")
+        _check_pair(self.t, self.w, "swc")
 
     def _accepts(self, bits: str) -> bool:
         t, w = self.t, self.w
@@ -173,10 +170,7 @@ class SEC(_Family):
     labels = ("L", "w")
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("subblock length must be >= 1")
-        if not 1 <= self.w <= self.length:
-            raise ValueError(f"w must satisfy 1 <= w <= length, got {self.w}")
+        _check_pair(self.length, self.w, "sec")
 
     def _check_length(self, n: int) -> None:
         if n % self.length:

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+
+from .errors import _check_pair
 
 RationalLike = Fraction | int | str
 
@@ -189,13 +192,13 @@ def rll_feasible(d: int, model: EnergyModel) -> bool:
 
 def swc_feasible(t: int, w: int, model: EnergyModel) -> bool:
     """Whether every (T, w) sliding-window sequence avoids outage under the model."""
-    _check_pair(t, w)
+    _check_pair(t, w, "swc")
     return w >= math.ceil(t * model.b) and model.e_init >= (t - w) * model.b
 
 
 def sec_feasible(length: int, w: int, model: EnergyModel) -> bool:
     """Whether every (L, w) subblock sequence avoids outage under the model."""
-    _check_pair(length, w)
+    _check_pair(length, w, "sec")
     return (
         w >= math.ceil(length * model.b)
         and model.e_init >= (length - w) * model.b
@@ -203,11 +206,22 @@ def sec_feasible(length: int, w: int, model: EnergyModel) -> bool:
     )
 
 
-def _check_pair(span: int, w: int) -> None:
-    if span < 1:
-        raise ValueError("window/subblock length must be >= 1")
-    if not 1 <= w <= span:
-        raise ValueError(f"weight must satisfy 1 <= w <= {span}, got {w}")
+def _pivot(model: EnergyModel, z: int) -> int:
+    """The last span the candidate scans visit: ceil(z / (1 - b))."""
+    return math.ceil(z / (1 - model.b))
+
+
+def _pivot_scan(model: EnergyModel, z: int, feasible: Callable) -> list[tuple[int, int]]:
+    """Spans 1.._pivot(model, z) at their least weight w, where feasible(span, w, model).
+
+    The least admissible weight is max(ceil(span*b), span - z); empty when z = 0.
+    """
+    out = []
+    for span in range(1, _pivot(model, z) + 1):
+        w = max(math.ceil(span * model.b), span - z)
+        if feasible(span, w, model):
+            out.append((span, w))
+    return out
 
 
 def feasible_swc_candidates(model: EnergyModel) -> list[tuple[int, int]]:
@@ -218,15 +232,7 @@ def feasible_swc_candidates(model: EnergyModel) -> list[tuple[int, int]]:
     ceil(z / (1 - b)) cannot beat shorter ones.  Every returned pair passes
     swc_feasible.  Empty when the buffer cannot fund a single zero (z = 0).
     """
-    z = math.floor(model.e_max / model.b)
-    if z == 0:
-        return []
-    out = []
-    for t in range(1, math.ceil(z / (1 - model.b)) + 1):
-        w = max(math.ceil(t * model.b), t - z)
-        if swc_feasible(t, w, model):
-            out.append((t, w))
-    return out
+    return _pivot_scan(model, math.floor(model.e_max / model.b), swc_feasible)
 
 
 def feasible_sec_candidates(model: EnergyModel) -> list[tuple[int, int]]:
@@ -235,7 +241,8 @@ def feasible_sec_candidates(model: EnergyModel) -> list[tuple[int, int]]:
     For each subblock length L the least admissible weight is
     max(ceil(L*b), L - z2) with z2 = floor(e_max / (2*b)), and subblock
     lengths beyond the pivot P = ceil(z2 / (1 - b)) cannot beat L = P.
-    Every returned pair passes sec_feasible.
+    Every returned pair passes sec_feasible.  Empty when the buffer cannot
+    fund the zeros of two subblocks back to back (z2 = 0).
 
     Proof that the scan may stop at P.  For L >= P, L - z2 >= L*b, so the
     least admissible weight is exactly L - z2 (and the pairs past P are all
@@ -249,16 +256,9 @@ def feasible_sec_candidates(model: EnergyModel) -> list[tuple[int, int]]:
     where every factor is nonincreasing in L.  So r is nondecreasing and the
     increments are nonincreasing in L >= 0.  As log2 S(0) = 0, f(L) is the
     mean of the first L increments, which is nonincreasing too: no L > P
-    beats L = P, and the optimizers keep the smallest length on ties.  When
-    z2 = 0 the scan still returns (1, 1), the rate-zero full-weight code.
+    beats L = P, and the optimizers keep the smallest length on ties.
     """
-    z2 = math.floor(model.e_max / (2 * model.b))
-    out = []
-    for length in range(1, max(1, math.ceil(z2 / (1 - model.b))) + 1):
-        w = max(math.ceil(length * model.b), length - z2)
-        if sec_feasible(length, w, model):
-            out.append((length, w))
-    return out
+    return _pivot_scan(model, math.floor(model.e_max / (2 * model.b)), sec_feasible)
 
 
 def preamble_length(model: EnergyModel) -> int:

@@ -14,13 +14,15 @@ and the result is tagged accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, replace
 
 from .bounds import entropy_ceiling, sandwich_bounds, swc_lower_bound
 from .capacity import rll_capacity, sec_capacity, swc_capacity_exact
 from .config import DEFAULT_STATE_BUDGET
 from .energy import (
     EnergyModel,
+    _pivot,
     feasible_sec_candidates,
     feasible_swc_candidates,
 )
@@ -41,6 +43,40 @@ class OutageResult:
     ceiling: float
 
 
+def _best(model: EnergyModel, candidates: Iterable, rate: Callable) -> OutageResult:
+    """The candidate with the highest rate, the first one on ties.
+
+    rate(*params) returns (value, exact); the result is tagged "lower-bound"
+    when any candidate's rate was only bounded.  A code must beat rate zero
+    to be reported, so with no such candidate params is None.
+    """
+    best_value, best_params, exact = 0.0, None, True
+    for params in candidates:
+        value, value_exact = rate(*params)
+        exact = exact and value_exact
+        if value > best_value:
+            best_value, best_params = value, params
+    return OutageResult(
+        value=best_value,
+        params=best_params,
+        method="exact" if exact else "lower-bound",
+        ceiling=entropy_ceiling(model.b),
+    )
+
+
+def _at_pivot(model: EnergyModel, z: int, rate: Callable) -> OutageResult:
+    """The rate at the pivot T = ceil(z / (1 - b)) and w = ceil(T * b), as a lower bound.
+
+    There z <= T(1 - b) < z + 1, so ceil(T * b) = T - z: the pair is the last
+    candidate of the family's scan, the longest span the buffer supports at
+    the least admissible weight.  It is always outage-free, and for z >= 1
+    its weight is below T, so its rate is positive and _best keeps it.
+    """
+    t = _pivot(model, z)
+    candidates = [(t, t - z)] if z else []
+    return replace(_best(model, candidates, rate), method="lower-bound")
+
+
 def o_rll(model: EnergyModel) -> OutageResult:
     """Best run-length rate with zero outages.
 
@@ -48,13 +84,13 @@ def o_rll(model: EnergyModel) -> OutageResult:
     strictly drops with d.  Zero when the buffer cannot hold one draw.
     """
     model = model.with_full_buffer()
-    ceiling = entropy_ceiling(model.b)
-    if model.e_max < model.b:
-        return OutageResult(value=0.0, params=None, method="exact", ceiling=ceiling)
-    d = math.ceil(model.b / (1 - model.b))
-    return OutageResult(
-        value=rll_capacity(d).value, params=(d,), method="exact", ceiling=ceiling
-    )
+    candidates = [(math.ceil(model.b / (1 - model.b)),)] if model.e_max >= model.b else []
+    return _best(model, candidates, lambda d: (rll_capacity(d).value, True))
+
+
+def _swc_fallback(t: int, w: int) -> tuple[float, bool]:
+    """The best window-capacity lower bound that needs no spectral solve, as a rate."""
+    return max(swc_lower_bound(t, w).value, sandwich_bounds(t, w)[0]), False
 
 
 def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> OutageResult:
@@ -66,44 +102,27 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     to the smallest window.
     """
     model = model.with_full_buffer()
-    ceiling = entropy_ceiling(model.b)
-    best_value = 0.0
-    best_params: tuple[int, ...] | None = None
-    fell_back = False
-    for t, w in feasible_swc_candidates(model):
+
+    def rate(t: int, w: int) -> tuple[float, bool]:
         if w == t or (1 << (t - 1)) <= state_budget:
-            value = swc_capacity_exact(t, w, state_budget=state_budget).value
-        else:
-            fell_back = True
-            value = max(swc_lower_bound(t, w).value, sandwich_bounds(t, w)[0])
-        if best_params is None or value > best_value:
-            best_value, best_params = value, (t, w)
-    if best_params is None:
-        return OutageResult(value=0.0, params=None, method="exact", ceiling=ceiling)
-    return OutageResult(
-        value=best_value,
-        params=best_params,
-        method="lower-bound" if fell_back else "exact",
-        ceiling=ceiling,
-    )
+            return swc_capacity_exact(t, w, state_budget=state_budget).value, True
+        return _swc_fallback(t, w)
+
+    return _best(model, feasible_swc_candidates(model), rate)
 
 
 def o_swc_lower_explicit(model: EnergyModel) -> OutageResult:
     """Closed-form window-family lower bound at the single pivot candidate.
 
-    Uses T = ceil(z / (1 - b)) with z = floor(e_max / b) and w = ceil(T * b),
-    the longest window the buffer supports at the least admissible weight,
-    and bounds its capacity from below without any spectral work.
+    Uses the pivot pair of z = floor(e_max / b) and bounds its capacity from
+    below without any spectral work.
     """
-    model = model.with_full_buffer()
-    ceiling = entropy_ceiling(model.b)
-    z = math.floor(model.e_max / model.b)
-    if z == 0:
-        return OutageResult(value=0.0, params=None, method="lower-bound", ceiling=ceiling)
-    t = math.ceil(z / (1 - model.b))
-    w = math.ceil(t * model.b)
-    value = max(swc_lower_bound(t, w).value, sandwich_bounds(t, w)[0])
-    return OutageResult(value=value, params=(t, w), method="lower-bound", ceiling=ceiling)
+    return _at_pivot(model, math.floor(model.e_max / model.b), _swc_fallback)
+
+
+def _sec_rate(length: int, w: int) -> tuple[float, bool]:
+    """The exact subblock capacity, as a rate."""
+    return sec_capacity(length, w).value, True
 
 
 def o_sec(model: EnergyModel) -> OutageResult:
@@ -117,40 +136,16 @@ def o_sec(model: EnergyModel) -> OutageResult:
     Ties go to the smallest length.
     """
     model = model.with_full_buffer()
-    ceiling = entropy_ceiling(model.b)
-    best_value = 0.0
-    best_params: tuple[int, ...] | None = None
-    for length, w in feasible_sec_candidates(model):
-        value = sec_capacity(length, w).value
-        if best_params is None or value > best_value:
-            best_value, best_params = value, (length, w)
-    if best_params is None:
-        return OutageResult(value=0.0, params=None, method="exact", ceiling=ceiling)
-    return OutageResult(
-        value=best_value, params=best_params, method="exact", ceiling=ceiling
-    )
+    return _best(model, feasible_sec_candidates(model), _sec_rate)
 
 
 def o_sec_lower_explicit(model: EnergyModel) -> OutageResult:
     """Closed-form subblock rate at the pivot length, a guaranteed lower bound.
 
-    Uses L = ceil(z2 / (1 - b)) with z2 = floor(e_max / (2b)) and
-    w = ceil(L * b); the pair is always outage-free, so its exact capacity
+    Uses the pivot pair of z2 = floor(e_max / (2b)); its exact capacity
     bounds the subblock optimum from below.
     """
-    model = model.with_full_buffer()
-    ceiling = entropy_ceiling(model.b)
-    z2 = math.floor(model.e_max / (2 * model.b))
-    if z2 == 0:
-        return OutageResult(value=0.0, params=None, method="lower-bound", ceiling=ceiling)
-    length = math.ceil(z2 / (1 - model.b))
-    w = math.ceil(length * model.b)
-    return OutageResult(
-        value=sec_capacity(length, w).value,
-        params=(length, w),
-        method="lower-bound",
-        ceiling=ceiling,
-    )
+    return _at_pivot(model, math.floor(model.e_max / (2 * model.b)), _sec_rate)
 
 
 def gap_report(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> dict:

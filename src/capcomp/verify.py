@@ -38,6 +38,14 @@ MODEL_EMAX_GRID = ("1/4", "1/2", "1", "3/2", "2", "3")
 
 SLACK = 1e-8
 
+# sequence-length cap of the enumeration-backed suites, and witness search cap
+MAX_N = 16
+REPS_CAP = 4096
+# largest run length, window length and subblock length the suites try
+MAX_D = 4
+MAX_T = 6
+MAX_L = 6
+
 
 @dataclass
 class Check:
@@ -76,12 +84,12 @@ def _count_check(spec: ConstraintSpec, lengths: range, max_n: int) -> Check:
     )
 
 
-def suite_counts(max_n: int = 16, max_d: int = 4, max_t: int = 6, max_l: int = 6) -> list[Check]:
+def suite_counts(max_n: int = MAX_N) -> list[Check]:
     checks = [
         _count_check(spec, range(max_n + 1), max_n)
-        for spec in [RLL(d) for d in range(1, max_d + 1)] + _windows(max_t)
+        for spec in [RLL(d) for d in range(1, MAX_D + 1)] + _windows(MAX_T)
     ]
-    for spec in _subblocks(max_l):
+    for spec in _subblocks(MAX_L):
         checks.append(_count_check(spec, range(0, max_n + 1, spec.length), max_n))
         block_words = len(_valid(spec, spec.length))
         product_ok = all(
@@ -97,9 +105,9 @@ def suite_counts(max_n: int = 16, max_d: int = 4, max_t: int = 6, max_l: int = 6
     return checks
 
 
-def suite_equivalence(max_n: int = 16, max_d: int = 4) -> list[Check]:
+def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
     checks = []
-    for d in range(1, max_d + 1):
+    for d in range(1, MAX_D + 1):
         bad = next(
             (
                 n
@@ -303,9 +311,7 @@ def _outage_free_everywhere(spec: ConstraintSpec, model: EnergyModel, lengths) -
     return None
 
 
-def _find_outage_witness(
-    spec: ConstraintSpec, model: EnergyModel, reps_cap: int = 4096
-) -> str | None:
+def _find_outage_witness(spec: ConstraintSpec, model: EnergyModel, reps_cap: int) -> str | None:
     reps = 1
     while reps <= reps_cap:
         s = adversarial_sequence(spec, model, reps)
@@ -318,13 +324,13 @@ def _find_outage_witness(
 # per family for the outage suite: the specs tried, and the lengths a
 # feasible spec is swept over
 _OUTAGE_GRID = (
-    ([RLL(d) for d in range(1, 5)], lambda spec, max_len: range(spec.d + 1, max_len + 1)),
-    (_windows(6), lambda spec, max_len: range(spec.t, max_len + 1)),
-    (_subblocks(6), lambda spec, max_len: (spec.length, 2 * spec.length, 3 * spec.length)),
+    ([RLL(d) for d in range(1, MAX_D + 1)], lambda spec, max_n: range(spec.d + 1, max_n + 1)),
+    (_windows(MAX_T), lambda spec, max_n: range(spec.t, max_n + 1)),
+    (_subblocks(MAX_L), lambda spec, max_n: (spec.length, 2 * spec.length, 3 * spec.length)),
 )
 
 
-def suite_outage(max_len: int = 16, reps_cap: int = 4096) -> list[Check]:
+def suite_outage(max_n: int = MAX_N, reps_cap: int = REPS_CAP) -> list[Check]:
     """Feasibility conditions against simulation, in both directions.
 
     Feasible setups are sweep-checked over every valid sequence long enough
@@ -341,7 +347,7 @@ def suite_outage(max_len: int = 16, reps_cap: int = 4096) -> list[Check]:
                 bad = None
                 for spec in specs:
                     if spec._feasible(model):
-                        witness = _outage_free_everywhere(spec, model, lengths(spec, max_len))
+                        witness = _outage_free_everywhere(spec, model, lengths(spec, max_n))
                         if witness is not None:
                             bad = f"feasible {_spec_text(spec)} outages on {witness}"
                             break
@@ -366,24 +372,20 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list[Check]:
-    """Run one named suite, or all of them in order."""
-    if name == "all":
-        checks = []
-        for key in ("counts", "equivalence", "bounds", "outage"):
-            checks.extend(_run_one(key, kwargs))
-        return checks
-    return _run_one(name, kwargs)
+def run_suite(name: str, max_n: int | None = None, reps_cap: int | None = None) -> list[Check]:
+    """Run one named suite, or all of them in order.
 
-
-def _run_one(name: str, kwargs: dict) -> list[Check]:
-    if name not in SUITES:
+    max_n caps the sequence length of the counts, equivalence and outage
+    suites, and reps_cap the outage suite's witness search; None keeps
+    MAX_N and REPS_CAP.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    accepted = {
-        "counts": ("max_n", "max_d", "max_t", "max_l"),
-        "equivalence": ("max_n", "max_d"),
-        "bounds": (),
-        "outage": ("max_len", "reps_cap"),
-    }[name]
-    return fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})
+    max_n = MAX_N if max_n is None else max_n
+    reps_cap = REPS_CAP if reps_cap is None else reps_cap
+    args = {"counts": (max_n,), "equivalence": (max_n,), "bounds": (), "outage": (max_n, reps_cap)}
+    checks = []
+    for key, suite in SUITES.items():
+        if name in ("all", key):
+            checks.extend(suite(*args[key]))
+    return checks

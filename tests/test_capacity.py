@@ -8,13 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capcomp import (
+    SEC,
+    SWC,
+    EnergyModel,
     ResourceLimitError,
     binary_entropy,
     rll_capacity,
     sec_capacity,
+    sec_feasible,
     sec_one_zero_capacity,
     swc_capacity_exact,
     swc_capacity_growth,
+    swc_feasible,
+    swc_lower_bound,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -149,3 +155,29 @@ class TestBinaryEntropy:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             binary_entropy(1.5)
+
+
+HALF = EnergyModel.make("1/2", "1")
+
+# every entry point that takes a (span, weight) pair, and its family
+PAIR_ENTRY_POINTS = {
+    "SWC": (SWC, "swc"),
+    "swc_capacity_exact": (swc_capacity_exact, "swc"),
+    "swc_capacity_growth": (swc_capacity_growth, "swc"),
+    "swc_feasible": (lambda t, w: swc_feasible(t, w, HALF), "swc"),
+    "swc_lower_bound": (swc_lower_bound, "swc"),
+    "SEC": (SEC, "sec"),
+    "sec_capacity": (sec_capacity, "sec"),
+    "sec_feasible": (lambda length, w: sec_feasible(length, w, HALF), "sec"),
+}
+
+
+class TestPairChecks:
+    @pytest.mark.parametrize("name", PAIR_ENTRY_POINTS)
+    def test_rejects_out_of_range_pairs_in_the_family_words(self, name):
+        entry, family = PAIR_ENTRY_POINTS[name]
+        span, bound = ("t", "t") if family == "swc" else ("subblock length", "length")
+        with pytest.raises(ValueError, match=f"^{span} must be >= 1$"):
+            entry(0, 1)
+        with pytest.raises(ValueError, match=f"^w must satisfy 1 <= w <= {bound}, got 4$"):
+            entry(3, 4)

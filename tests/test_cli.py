@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from capcomp import cli
+from capcomp import ResourceLimitError, cli, outage
 
 
 def run(capsys, *argv):
@@ -42,6 +42,10 @@ class TestOutage:
             capsys, "outage", "--family", "sec", "--b", "3/5", "--emax", "6/5"
         )
         assert rc == 0 and out == "0.666667 (L=3, w=2)\n"
+
+    def test_sec_without_feasible_code(self, capsys):
+        rc, out, _ = run(capsys, "outage", "--family", "sec", "--b", "3/5", "--emax", "1")
+        assert rc == 0 and out == "0.000000 (no feasible code)\n"
 
     def test_lower_bound_tag(self, capsys):
         rc, out, _ = run(
@@ -173,6 +177,27 @@ class TestSweep:
         rc, out, _ = run(capsys, *self.ARGS, "--out", str(path))
         assert rc == 0 and out == ""
         assert path.read_text() == first
+
+    def test_rows_are_written_as_they_are_computed(self, capsys, monkeypatch):
+        calls = []
+        o_sec = outage.o_sec
+
+        def fail_on_second_call(model):
+            calls.append(model)
+            if len(calls) == 2:
+                raise ResourceLimitError("second row")
+            return o_sec(model)
+
+        monkeypatch.setattr(outage, "o_sec", fail_on_second_call)
+        rc, out, err = run(
+            capsys, "sweep", "--vary", "emax", "--b", "3/5",
+            "--from", "0", "--to", "1", "--step", "1/2",
+        )
+        assert (rc, err) == (1, "error: second row\n")
+        assert out.splitlines() == [
+            "param,o_rll,o_swc,o_swc_method,o_sec,o_sec_method,ceiling",
+            "0,0.000000,0.000000,exact,0.000000,exact,0.970951",
+        ]
 
     def test_vary_b_requires_fixed_emax(self, capsys):
         rc, _, err = run(

@@ -164,9 +164,8 @@ class TestCandidates:
         cands = feasible_sec_candidates(model("3/5", "10"))
         assert cands[-1] == (20, 12)
 
-    def test_sec_all_full_weight_when_buffer_small(self):
-        cands = feasible_sec_candidates(model("3/5", "1"))
-        assert cands and all(w == length for length, w in cands)
+    def test_sec_empty_when_buffer_below_twice_the_draw(self):
+        assert feasible_sec_candidates(model("3/5", "1")) == []
 
     def test_candidates_all_feasible(self):
         m = model("2/3", "5/2")

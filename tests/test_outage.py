@@ -10,6 +10,8 @@ from capcomp import (
     EnergyModel,
     NoWitnessError,
     adversarial_sequence,
+    feasible_sec_candidates,
+    feasible_swc_candidates,
     gap_report,
     o_rll,
     o_sec,
@@ -106,6 +108,7 @@ class TestSubblock:
     def test_zero_below_twice_the_draw(self):
         res = o_sec(model("3/5", "11/10"))
         assert res.value == 0.0
+        assert res.params is None
 
     def test_known_big_buffer_optimum(self):
         res = o_sec(model("3/5", "10"))
@@ -116,7 +119,8 @@ class TestSubblock:
     def test_matches_a_scan_far_past_the_pivot(self, b):
         # plain search over every feasible (L, w), well beyond the pivot the
         # optimizer stops at; capacity falls with w, so each L keeps its
-        # smallest feasible weight, and ties keep the smallest L
+        # smallest feasible weight, ties keep the smallest L, and only a code
+        # that beats rate zero is reported
         for e_max in (Fraction(k, 2) for k in range(21)):
             m = model(b, e_max)
             z2 = math.floor(m.e_max / (2 * m.b))
@@ -127,7 +131,7 @@ class TestSubblock:
                 while w > 1 and sec_feasible(length, w - 1, m):
                     w -= 1
                 value = sec_capacity(length, w).value
-                if best_params is None or value > best_value:
+                if value > best_value:
                     best_value, best_params = value, (length, w)
             res = o_sec(m)
             assert (res.value, res.params) == (best_value, best_params), (b, e_max)
@@ -155,6 +159,23 @@ class TestSubblockExplicitLower:
         for e_max in EMAX_GRID:
             m = model("3/4", e_max)
             assert o_sec_lower_explicit(m).value <= o_sec(m).value + 1e-9
+
+
+class TestPivot:
+    @pytest.mark.parametrize(
+        "explicit,candidates",
+        [
+            (o_swc_lower_explicit, feasible_swc_candidates),
+            (o_sec_lower_explicit, feasible_sec_candidates),
+        ],
+    )
+    def test_explicit_bound_sits_on_the_last_candidate(self, explicit, candidates):
+        for k in range(1, 20):
+            for j in range(41):
+                m = model(Fraction(k, 20), Fraction(j, 4))
+                family = candidates(m)
+                expect = family[-1] if family else None
+                assert explicit(m).params == expect, (k, j)
 
 
 class TestOrderAndCeiling:
