@@ -5,8 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .capacity import CapacityResult, binary_entropy, sec_capacity
-from .config import DEFAULT_M_MAX
 from .errors import _check_pair
+
+# Window-splitting depth for the composite lower bound.
+DEFAULT_M_MAX = 8
 
 
 def sandwich_bounds(t: int, w: int) -> tuple[float, float]:

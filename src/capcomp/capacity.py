@@ -16,20 +16,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import (
-    DEFAULT_GROWTH_NMAX,
-    DEFAULT_STATE_BUDGET,
-    GROWTH_TOL,
-    ROOT_TOL,
-    SPECTRAL_TOL,
-)
 from .errors import ResourceLimitError, _check_pair
+
+# Sliding-window state vectors hold 2^(T-1) entries; refuse beyond this.
+DEFAULT_STATE_BUDGET = 1 << 20
+
+# the run-length root's bisection bracket width, and the estimate deltas at
+# which the power iteration and the growth-rate route stop
+ROOT_TOL = 1e-12
+SPECTRAL_TOL = 1e-10
+GROWTH_TOL = 1e-9
 
 # consecutive sub-tolerance deltas required before an iteration is trusted;
 # a single small delta can be the extremum of a decaying oscillation
 _CONVERGENCE_STREAK = 3
 
+# iteration caps of the spectral and growth routes; running out raises
 _MAX_POWER_ITER = 200_000
+_MAX_GROWTH_N = 4000
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class CapacityResult:
     residual: float = 0.0
 
 
-def rll_capacity(d: int, tol: float = ROOT_TOL) -> CapacityResult:
+def rll_capacity(d: int) -> CapacityResult:
     """log2 of the largest real root of X^(d+1) - X^d - 1.
 
     The polynomial is -1 at X=1 and 2^d - 1 >= 0 at X=2, and has exactly one
@@ -57,7 +61,7 @@ def rll_capacity(d: int, tol: float = ROOT_TOL) -> CapacityResult:
     if d < 1:
         raise ValueError("d must be >= 1")
     lo, hi = 1.0, 2.0
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if d * math.log2(mid) + math.log2(mid - 1.0) < 0.0:
             lo = mid
@@ -70,7 +74,11 @@ def rll_capacity(d: int, tol: float = ROOT_TOL) -> CapacityResult:
 def sec_capacity(length: int, w: int) -> CapacityResult:
     """(1/L) * log2(sum of C(L, i) for i = w..L), evaluated exactly."""
     _check_pair(length, w, "sec")
-    total = sum(math.comb(length, i) for i in range(w, length + 1))
+    # the same integer from the shorter side: 2^L minus the w terms below w
+    if w < length - w + 1:
+        total = (1 << length) - sum(math.comb(length, i) for i in range(w))
+    else:
+        total = sum(math.comb(length, i) for i in range(w, length + 1))
     return CapacityResult(value=math.log2(total) / length, method="closed-form")
 
 
@@ -112,9 +120,14 @@ def _window_tables(t: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return p0, p1, keep0, keep1
 
 
+def _fits_budget(t: int, w: int, state_budget: int) -> bool:
+    """Whether a (t, w) window needs no solve (w == t) or its 2^(t-1) states fit the budget."""
+    return w == t or (1 << (t - 1)) <= state_budget
+
+
 def _check_swc_args(t: int, w: int, state_budget: int) -> None:
     _check_pair(t, w, "swc")
-    if w < t and (1 << (t - 1)) > state_budget:
+    if not _fits_budget(t, w, state_budget):
         raise ResourceLimitError(
             f"window length {t} needs 2^{t - 1} states, over the budget of {state_budget}"
         )
@@ -167,19 +180,17 @@ def swc_capacity_exact(
 def swc_capacity_growth(
     t: int,
     w: int,
-    n_max: int = DEFAULT_GROWTH_NMAX,
-    tol: float = GROWTH_TOL,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> CapacityResult:
     """Sliding-window capacity as the growth rate of the count sequence.
 
     Tracks log2 of per-state counts with a log-domain DP and estimates
-    log2(M(n+1)/M(n)) until successive estimates settle within tol (or n_max
-    is hit, in which case the best estimate is returned with its residual).
+    log2(M(n+1)/M(n)) until successive estimates settle within GROWTH_TOL.  Raises
+    ResourceLimitError when they have not settled by length _MAX_GROWTH_N.
     Shares only the window-admissibility tables with the spectral route.
     """
     _check_swc_args(t, w, state_budget)
-    if t == 1:
+    if w == t:
         return CapacityResult(value=0.0, method="dp-growth")
     p0, p1, keep0, keep1 = _window_tables(t, w)
     neg = -np.inf
@@ -194,9 +205,8 @@ def swc_capacity_growth(
     prev_total = log_total(logs)
     est_prev = None
     streak = 0
-    est = 0.0
     delta = math.inf
-    for n in range(t, n_max + 1):
+    for n in range(t, _MAX_GROWTH_N + 1):
         logs = np.logaddexp2(
             np.where(keep0, logs[p0], neg), np.where(keep1, logs[p1], neg)
         )
@@ -205,8 +215,11 @@ def swc_capacity_growth(
         prev_total = cur_total
         if est_prev is not None:
             delta = abs(est - est_prev)
-            streak = streak + 1 if delta < tol else 0
+            streak = streak + 1 if delta < GROWTH_TOL else 0
             if streak >= _CONVERGENCE_STREAK and n > t + 16:
                 return CapacityResult(value=est, method="dp-growth", residual=delta)
         est_prev = est
-    return CapacityResult(value=est, method="dp-growth", residual=delta)
+    raise ResourceLimitError(
+        f"growth route for window ({t}, {w}) did not settle by length "
+        f"{_MAX_GROWTH_N}; last delta {delta:.3g}"
+    )

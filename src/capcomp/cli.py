@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import capacity, constraints, outage, verify
-from .config import load_config
+from .capacity import DEFAULT_STATE_BUDGET
 from .energy import EnergyModel, parse_rational, simulate
 from .errors import NoWitnessError, ResourceLimitError
 
@@ -54,34 +54,27 @@ def _result_dict(result) -> dict:
     return record
 
 
-def _swc_capacity(spec: constraints.SWC, args: argparse.Namespace, cfg: dict):
-    budget = args.state_budget if args.state_budget is not None else cfg["state_budget"]
-    if args.growth:
-        nmax = args.nmax if args.nmax is not None else cfg["growth_nmax"]
-        return capacity.swc_capacity_growth(
-            spec.t, spec.w, n_max=nmax, tol=cfg["growth_tol"], state_budget=budget
-        )
-    return capacity.swc_capacity_exact(
-        spec.t, spec.w, state_budget=budget, tol=cfg["spectral_tol"]
-    )
+def _swc_capacity(spec: constraints.SWC, args: argparse.Namespace):
+    route = capacity.swc_capacity_growth if args.growth else capacity.swc_capacity_exact
+    return route(spec.t, spec.w, state_budget=args.state_budget)
 
 
 # capacity route per family, given the spec built from the flags
 _CAPACITY = {
-    "rll": lambda spec, args, cfg: capacity.rll_capacity(spec.d, tol=cfg["root_tol"]),
+    "rll": lambda spec, args: capacity.rll_capacity(spec.d),
     "swc": _swc_capacity,
-    "sec": lambda spec, args, cfg: capacity.sec_capacity(spec.length, spec.w),
+    "sec": lambda spec, args: capacity.sec_capacity(spec.length, spec.w),
 }
 
 
-def cmd_capacity(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_capacity(args: argparse.Namespace) -> int:
     if args.family == "sec-one-zero":
         if args.t is None:
             raise ValueError("sec-one-zero requires --t")
         res = capacity.sec_one_zero_capacity(args.t)
     else:
         spec = constraints.FAMILIES[args.family].from_flags(vars(args))
-        res = _CAPACITY[args.family](spec, args, cfg)
+        res = _CAPACITY[args.family](spec, args)
     if args.json:
         print(json.dumps(_result_dict(res)))
     else:
@@ -99,11 +92,10 @@ _OPTIMIZERS = {
 }
 
 
-def cmd_outage(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_outage(args: argparse.Namespace) -> int:
     model = EnergyModel.make(args.b, args.emax)
-    budget = args.state_budget if args.state_budget is not None else cfg["state_budget"]
     if args.family == "all":
-        report = outage.gap_report(model, state_budget=budget)
+        report = outage.gap_report(model, state_budget=args.state_budget)
         if args.json:
             record = {
                 key: _result_dict(val) if isinstance(val, outage.OutageResult) else val
@@ -117,7 +109,7 @@ def cmd_outage(args: argparse.Namespace, cfg: dict) -> int:
             print(f"gap_sec_rll: {report['gap_sec_rll']:.6f}")
             print(f"ceiling: {report['ceiling']:.6f}")
         return 0
-    res = _OPTIMIZERS[args.family](model, budget)
+    res = _OPTIMIZERS[args.family](model, args.state_budget)
     if args.json:
         print(json.dumps(_result_dict(res)))
     else:
@@ -142,8 +134,7 @@ def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fractio
     return [start + i * step for i in range(rows)]
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
-    budget = args.state_budget if args.state_budget is not None else cfg["state_budget"]
+def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _sweep_grid(
         parse_rational(args.start), parse_rational(args.stop), parse_rational(args.step)
     )
@@ -162,7 +153,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         )
         for value, model in zip(grid, models):
             rll = outage.o_rll(model)
-            swc = outage.o_swc(model, state_budget=budget)
+            swc = outage.o_swc(model, state_budget=args.state_budget)
             sec = outage.o_sec(model)
             writer.writerow(
                 [
@@ -181,7 +172,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     model = EnergyModel.make(args.b, args.emax, args.einit)
     params: dict = {
         "b": str(model.b),
@@ -214,7 +205,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     checks = verify.run_suite(args.suite, max_n=args.max_n, reps_cap=args.reps_cap)
     failed = [c for c in checks if not c.passed]
     if args.json:
@@ -240,15 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="capcomp",
         description="Capacities and outage-free rates of constrained binary codes",
     )
-    parser.add_argument("--config", help="key=value file overriding built-in defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="noiseless capacity of one constraint")
     p.add_argument("--family", required=True, choices=[*constraints.FAMILIES, "sec-one-zero"])
     _add_family_flags(p)
     p.add_argument("--growth", action="store_true", help="use the growth-rate route for swc")
-    p.add_argument("--nmax", type=int, help="growth-route length cap")
-    p.add_argument("--state-budget", type=int)
+    p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_capacity)
 
@@ -256,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=[*_OPTIMIZERS, "all"])
     p.add_argument("--b", required=True, help="per-use draw, exact rational")
     p.add_argument("--emax", required=True, help="buffer capacity, exact rational")
-    p.add_argument("--state-budget", type=int)
+    p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_outage)
 
@@ -268,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", required=True)
     p.add_argument("--step", required=True)
     p.add_argument("--out", help="CSV path; stdout when omitted")
-    p.add_argument("--state-budget", type=int)
+    p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="exact battery trace for a sequence, as JSON")
@@ -300,13 +289,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
         if args.command == "sweep":
             if args.vary == "emax" and args.b is None:
                 raise ValueError("sweep --vary emax needs a fixed --b")
             if args.vary == "b" and args.emax is None:
                 raise ValueError("sweep --vary b needs a fixed --emax")
-        return args.func(args, cfg)
+        return args.func(args)
     except (ValueError, TypeError, ResourceLimitError, NoWitnessError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,9 +23,12 @@ import math
 from dataclasses import astuple, dataclass
 from typing import ClassVar
 
-from .config import DEFAULT_ENUM_LIMIT, DEFAULT_STATE_BUDGET
+from .capacity import DEFAULT_STATE_BUDGET, _check_swc_args
 from .energy import EnergyModel, _check_bits, rll_feasible, sec_feasible, swc_feasible
 from .errors import NoWitnessError, ResourceLimitError, _check_pair
+
+# Exhaustive enumeration refuses lengths above this many bits.
+DEFAULT_ENUM_LIMIT = 24
 
 
 class _Family:
@@ -78,7 +81,7 @@ class RLL(_Family):
                 last_zero = i
         return True
 
-    def _count(self, n: int, state_budget: int) -> int:
+    def _count(self, n: int) -> int:
         d = self.d
         if n <= d:
             return 1 << n
@@ -127,17 +130,14 @@ class SWC(_Family):
                 return False
         return True
 
-    def _count(self, n: int, state_budget: int) -> int:
+    def _count(self, n: int) -> int:
         t, w = self.t, self.w
         if n < t:
             return 1 << n
-        if t == 1:
-            return 1  # w == 1 forces the all-ones sequence
+        if w == t:
+            return 1  # every window full: only the all-ones sequence
+        _check_swc_args(t, w, DEFAULT_STATE_BUDGET)
         states = 1 << (t - 1)
-        if states > state_budget:
-            raise ResourceLimitError(
-                f"window length {t} needs 2^{t - 1} states, over the budget of {state_budget}"
-            )
         half = states >> 1
         pc = [bin(s).count("1") for s in range(states)]
         # counts[s]: valid sequences whose last t-1 bits spell s; at length t-1
@@ -185,7 +185,7 @@ class SEC(_Family):
             for j in range(0, len(bits), self.length)
         )
 
-    def _count(self, n: int, state_budget: int) -> int:
+    def _count(self, n: int) -> int:
         self._check_length(n)
         # ones accumulated inside the current subblock -> count
         state = {0: 1}
@@ -206,10 +206,9 @@ class SEC(_Family):
     def _witness(self, model: EnergyModel) -> str:
         ones_first = "1" * self.w + "0" * (self.length - self.w)
         zeros_first = "0" * (self.length - self.w) + "1" * self.w
+        # infeasible only through a short start: open with zeros to drain it
         short_start = model.e_init < (self.length - self.w) * model.b
-        rate_ok = self.w >= math.ceil(self.length * model.b)
-        buffer_ok = model.e_max >= 2 * (self.length - self.w) * model.b
-        if short_start and rate_ok and buffer_ok:
+        if short_start and self._feasible(model.with_full_buffer()):
             return zeros_first + ones_first
         return ones_first + zeros_first
 
@@ -226,45 +225,37 @@ def satisfies(spec: ConstraintSpec, bits: str) -> bool:
     return spec._accepts(bits)
 
 
-def enumerate_sequences(
-    spec: ConstraintSpec, n: int, limit: int = DEFAULT_ENUM_LIMIT
-) -> list[str]:
+def enumerate_sequences(spec: ConstraintSpec, n: int) -> list[str]:
     """All valid length-n sequences in lexicographic order, by brute force.
 
     Deliberately dumb: every one of the 2^n candidates is tested with
     satisfies(), so this is the reference the counting recurrences are
-    checked against.  Lengths above `limit` are refused.
+    checked against.  Lengths above DEFAULT_ENUM_LIMIT are refused.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > limit:
+    if n > DEFAULT_ENUM_LIMIT:
         raise ResourceLimitError(
-            f"enumeration of 2^{n} sequences exceeds the limit of 2^{limit}"
+            f"enumeration of 2^{n} sequences exceeds the limit of 2^{DEFAULT_ENUM_LIMIT}"
         )
     if n == 0:
         return [""] if satisfies(spec, "") else []
     return [s for s in (format(i, f"0{n}b") for i in range(1 << n)) if satisfies(spec, s)]
 
 
-def count_exact(
-    spec: ConstraintSpec, n: int, state_budget: int = DEFAULT_STATE_BUDGET
-) -> int:
-    """Number of valid length-n sequences, by exact integer recurrence."""
+def count_exact(spec: ConstraintSpec, n: int) -> int:
+    """Number of valid length-n sequences, by exact integer recurrence.
+
+    A window spec over the state budget raises ResourceLimitError.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return spec._count(n, state_budget)
+    return spec._count(n)
 
 
-def sets_equal(
-    spec_a: ConstraintSpec,
-    spec_b: ConstraintSpec,
-    n: int,
-    limit: int = DEFAULT_ENUM_LIMIT,
-) -> bool:
+def sets_equal(spec_a: ConstraintSpec, spec_b: ConstraintSpec, n: int) -> bool:
     """Whether two constraints admit exactly the same length-n sequences."""
-    return set(enumerate_sequences(spec_a, n, limit)) == set(
-        enumerate_sequences(spec_b, n, limit)
-    )
+    return set(enumerate_sequences(spec_a, n)) == set(enumerate_sequences(spec_b, n))
 
 
 def adversarial_sequence(

@@ -206,6 +206,11 @@ def sec_feasible(length: int, w: int, model: EnergyModel) -> bool:
     )
 
 
+def _zeros(model: EnergyModel, shares: int) -> int:
+    """Zeros in a row that 1/shares of a full buffer funds: floor(e_max / (shares * b))."""
+    return math.floor(model.e_max / (shares * model.b))
+
+
 def _pivot(model: EnergyModel, z: int) -> int:
     """The last span the candidate scans visit: ceil(z / (1 - b))."""
     return math.ceil(z / (1 - model.b))
@@ -232,7 +237,7 @@ def feasible_swc_candidates(model: EnergyModel) -> list[tuple[int, int]]:
     ceil(z / (1 - b)) cannot beat shorter ones.  Every returned pair passes
     swc_feasible.  Empty when the buffer cannot fund a single zero (z = 0).
     """
-    return _pivot_scan(model, math.floor(model.e_max / model.b), swc_feasible)
+    return _pivot_scan(model, _zeros(model, 1), swc_feasible)
 
 
 def feasible_sec_candidates(model: EnergyModel) -> list[tuple[int, int]]:
@@ -258,7 +263,7 @@ def feasible_sec_candidates(model: EnergyModel) -> list[tuple[int, int]]:
     mean of the first L increments, which is nonincreasing too: no L > P
     beats L = P, and the optimizers keep the smallest length on ties.
     """
-    return _pivot_scan(model, math.floor(model.e_max / (2 * model.b)), sec_feasible)
+    return _pivot_scan(model, _zeros(model, 2), sec_feasible)
 
 
 def preamble_length(model: EnergyModel) -> int:

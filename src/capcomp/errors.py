@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a computation would exceed a configured size budget."""
+    """Raised when a computation would exceed a size budget or iteration cap."""
 
 
 class NoWitnessError(ValueError):

@@ -18,11 +18,17 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 from .bounds import entropy_ceiling, sandwich_bounds, swc_lower_bound
-from .capacity import rll_capacity, sec_capacity, swc_capacity_exact
-from .config import DEFAULT_STATE_BUDGET
+from .capacity import (
+    DEFAULT_STATE_BUDGET,
+    _fits_budget,
+    rll_capacity,
+    sec_capacity,
+    swc_capacity_exact,
+)
 from .energy import (
     EnergyModel,
     _pivot,
+    _zeros,
     feasible_sec_candidates,
     feasible_swc_candidates,
 )
@@ -104,7 +110,7 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     model = model.with_full_buffer()
 
     def rate(t: int, w: int) -> tuple[float, bool]:
-        if w == t or (1 << (t - 1)) <= state_budget:
+        if _fits_budget(t, w, state_budget):
             return swc_capacity_exact(t, w, state_budget=state_budget).value, True
         return _swc_fallback(t, w)
 
@@ -117,7 +123,7 @@ def o_swc_lower_explicit(model: EnergyModel) -> OutageResult:
     Uses the pivot pair of z = floor(e_max / b) and bounds its capacity from
     below without any spectral work.
     """
-    return _at_pivot(model, math.floor(model.e_max / model.b), _swc_fallback)
+    return _at_pivot(model, _zeros(model, 1), _swc_fallback)
 
 
 def _sec_rate(length: int, w: int) -> tuple[float, bool]:
@@ -145,7 +151,7 @@ def o_sec_lower_explicit(model: EnergyModel) -> OutageResult:
     Uses the pivot pair of z2 = floor(e_max / (2b)); its exact capacity
     bounds the subblock optimum from below.
     """
-    return _at_pivot(model, math.floor(model.e_max / (2 * model.b)), _sec_rate)
+    return _at_pivot(model, _zeros(model, 2), _sec_rate)
 
 
 def gap_report(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> dict:

@@ -74,6 +74,13 @@ class TestSubblockCapacity:
     def test_full_weight_is_zero(self):
         assert sec_capacity(7, 7).value == 0.0
 
+    def test_matches_the_upper_binomial_sum(self):
+        # the reference sums C(L, i) over i = w..L whichever side is shorter
+        for length in range(1, 65):
+            for w in range(1, length + 1):
+                total = sum(math.comb(length, i) for i in range(w, length + 1))
+                assert sec_capacity(length, w).value == math.log2(total) / length, (length, w)
+
     def test_one_zero_form_agrees(self):
         for t in range(2, 21):
             assert (
@@ -101,6 +108,11 @@ class TestWindowCapacity:
         res = swc_capacity_exact(25, 25)
         assert res.value == 0.0
         assert swc_capacity_exact(1, 1).value == 0.0
+
+    def test_growth_full_weight_short_circuits(self):
+        # 2^29 states would be needed if the route built its tables
+        res = swc_capacity_growth(30, 30)
+        assert (res.value, res.method) == (0.0, "dp-growth")
 
     def test_methods_and_residuals(self):
         res = swc_capacity_exact(4, 2)
@@ -134,10 +146,10 @@ class TestWindowCapacity:
         with pytest.raises(ResourceLimitError, match=r"\(12, 6\).*last delta"):
             swc_capacity_exact(12, 6, tol=1e-13)
 
-    def test_growth_nmax_flags_residual(self):
-        res = swc_capacity_growth(6, 4, n_max=12)
-        assert res.residual > 0.0  # not converged in so few steps
-        assert abs(res.value - swc_capacity_exact(6, 4).value) < 0.1
+    def test_growth_nmax_flags_residual(self, monkeypatch):
+        monkeypatch.setattr("capcomp.capacity._MAX_GROWTH_N", 12)
+        with pytest.raises(ResourceLimitError, match=r"\(6, 4\).*last delta"):
+            swc_capacity_growth(6, 4)
 
 
 class TestBinaryEntropy:

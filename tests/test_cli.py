@@ -1,10 +1,10 @@
-"""End-to-end CLI behaviour: output formats, exit codes, config overrides."""
+"""End-to-end CLI behaviour: output formats, exit codes, the state budget flag."""
 
 import json
 
 import pytest
 
-from capcomp import ResourceLimitError, cli, outage
+from capcomp import ResourceLimitError, capacity, cli, outage
 
 
 def run(capsys, *argv):
@@ -241,36 +241,32 @@ class TestVerify:
 
 
 class TestConfig:
-    SWC_BIG = ("capacity", "--family", "swc", "--t", "6", "--w", "3")
-
-    def test_config_file_lowers_state_budget(self, capsys, tmp_path):
-        cfg = tmp_path / "capcomp.cfg"
-        cfg.write_text("# limits\nstate_budget = 8\n")
-        rc, _, err = run(capsys, "--config", str(cfg), *self.SWC_BIG)
-        assert rc == 1 and err.startswith("error:")
-
-    def test_env_var_lowers_state_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("CAPCOMP_STATE_BUDGET", "8")
-        rc, _, err = run(capsys, *self.SWC_BIG)
-        assert rc == 1 and err.startswith("error:")
-
-    def test_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("CAPCOMP_STATE_BUDGET", "8")
-        rc, out, _ = run(capsys, *self.SWC_BIG, "--state-budget", "1024")
-        assert rc == 0 and out.strip().count("\n") == 0
+    def test_state_budget_flag_lowers_the_budget(self, capsys):
+        rc, out, err = run(
+            capsys, "capacity", "--family", "swc", "--t", "6", "--w", "3", "--state-budget", "8"
+        )
+        assert (rc, out) == (1, "")
+        assert err == "error: window length 6 needs 2^5 states, over the budget of 8\n"
 
     def test_unconverged_power_iteration_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)
-        monkeypatch.setenv("CAPCOMP_SPECTRAL_TOL", "1e-13")
+        # an earlier test may have cached this solve
+        capacity._swc_spectral_cached.cache_clear()
         rc, out, err = run(capsys, "capacity", "--family", "swc", "--t", "12", "--w", "6")
         assert (rc, out) == (1, "")
         assert err.startswith("error: power iteration for window (12, 6) did not converge")
 
-    def test_unknown_config_key_is_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("spectral_budget = 9\n")
-        rc, _, err = run(capsys, "--config", str(cfg), *self.SWC_BIG)
-        assert rc == 1 and err.startswith("error:")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config", "capcomp.cfg", "capacity", "--family", "rll", "--d", "2"],
+            ["capacity", "--family", "swc", "--t", "6", "--w", "4", "--growth", "--nmax", "12"],
+        ],
+    )
+    def test_removed_settings_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
 
 
 # per family: the flags it needs, the missing-flag error, and the params keys

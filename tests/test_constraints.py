@@ -77,7 +77,7 @@ class TestEnumerate:
     def test_limit_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_sequences(RLL(1), 25)
-        assert len(enumerate_sequences(RLL(1), 10, limit=10)) == 144
+        assert len(enumerate_sequences(RLL(1), 10)) == 144
 
     def test_zero_length(self):
         assert enumerate_sequences(SEC(3, 2), 0) == [""]
@@ -111,7 +111,12 @@ class TestCountExact:
 
     def test_state_budget_guard(self):
         with pytest.raises(ResourceLimitError):
-            count_exact(SWC(22, 3), 30, state_budget=1 << 20)
+            count_exact(SWC(22, 3), 30)
+
+    def test_full_weight_window_needs_no_states(self):
+        # far over the state budget, but only the all-ones sequence is valid
+        assert count_exact(SWC(25, 25), 30) == 1
+        assert count_exact(SWC(25, 25), 24) == 1 << 24
 
 
 class TestSetsEqual:
