@@ -4,8 +4,10 @@ Run-length capacity comes from the largest real root of the characteristic
 polynomial X^(d+1) - X^d - 1, found by bisection.  Subblock capacity is a
 closed form over an exact big-integer binomial sum.  Sliding-window capacity
 has no closed form; it is the log of the spectral radius of the window
-transfer graph, computed by power iteration over 2^(T-1) suffix states, with
-an independent growth-rate route (log-domain counting DP) as a cross-check.
+transfer graph, computed by power iteration on the C(T, w) follower-set
+classes of its 2^(T-1) suffix states and stopped on a certified
+Collatz-Wielandt bracket, with an independent growth-rate route (log-domain
+counting DP over all suffix states) as a cross-check.
 """
 
 from __future__ import annotations
@@ -18,17 +20,18 @@ import numpy as np
 
 from .errors import ResourceLimitError, _check_pair
 
-# Sliding-window state vectors hold 2^(T-1) entries; refuse beyond this.
+# A window solve touches all 2^(T-1) suffix states; refuse beyond this many.
 DEFAULT_STATE_BUDGET = 1 << 20
 
-# the run-length root's bisection bracket width, and the estimate deltas at
-# which the power iteration and the growth-rate route stop
+# the run-length root's bisection bracket width, the log2 bracket width at
+# which the power iteration stops, and the estimate delta at which the
+# growth-rate route stops
 ROOT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 GROWTH_TOL = 1e-9
 
-# consecutive sub-tolerance deltas required before an iteration is trusted;
-# a single small delta can be the extremum of a decaying oscillation
+# consecutive sub-tolerance deltas required before the growth route is
+# trusted; a single small delta can be the extremum of a decaying oscillation
 _CONVERGENCE_STREAK = 3
 
 # iteration caps of the spectral and growth routes; running out raises
@@ -41,8 +44,10 @@ class CapacityResult:
     """A capacity value plus how it was obtained.
 
     method is one of closed-form, spectral, dp-growth, lower-bound,
-    upper-bound.  residual is the final bracket width or iteration delta;
-    0.0 for exact closed forms.
+    upper-bound.  residual is the bisection bracket width of a run-length
+    root, the certified log2 bracket width for spectral (the capacity lies
+    within residual/2 of value), the last estimate delta for dp-growth, and
+    0.0 for the other closed forms and for bounds.
     """
 
     value: float
@@ -133,26 +138,86 @@ def _check_swc_args(t: int, w: int, state_budget: int) -> None:
         )
 
 
+def _follower_classes(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Successor tables of the follower-set classes of the (t, w) window graph.
+
+    Class i is represented by a (t-1)-bit string r of popcount w or w-1, the
+    popcount-w classes first.  succ1[i] is the class reached by appending a 1;
+    succ0[j] is the class reached by appending a 0, for the popcount-w
+    classes j < len(succ0) only, since a 0 after a popcount-(w-1) state
+    closes a window of weight w-1.  Appending bit c shifts it in and, when
+    the popcount reaches w+1, clears the highest set bit.
+    """
+    mask = (1 << (t - 1)) - 1
+    states = np.arange(mask + 1, dtype=np.int64)
+    pc = np.bitwise_count(states)
+    heavy = states[pc == w]
+    reps = np.concatenate([heavy, states[pc == w - 1]])
+    index = np.zeros(mask + 1, dtype=np.int64)
+    index[reps] = np.arange(len(reps))
+
+    def successor(r: np.ndarray, c: int) -> np.ndarray:
+        s = ((r << 1) & mask) | c
+        top = s.copy()  # smear the highest set bit down, then isolate it
+        shift = 1
+        while shift < t:
+            top |= top >> shift
+            shift <<= 1
+        top ^= top >> 1
+        return index[np.where(np.bitwise_count(s) > w, s ^ top, s)]
+
+    return successor(reps, 1), successor(heavy, 0)
+
+
 @lru_cache(maxsize=None)
 def _swc_spectral_cached(t: int, w: int, tol: float) -> tuple[float, float]:
-    p0, p1, keep0, keep1 = _window_tables(t, w)
-    vec = np.ones(1 << (t - 1))
-    est_prev = 0.0
-    streak = 0
-    delta = math.inf
+    """log2 of the spectral radius of the (t, w) window graph, 1 <= w < t.
+
+    Returns the midpoint and the width of a Collatz-Wielandt bracket on it,
+    both in log2, once the width is under tol.
+
+    Proof that the follower-set quotient has the same spectral radius.  A
+    suffix state p (the last t-1 bits) admits bit c iff popcount(p) + c >= w,
+    so a state of popcount below w-1 has no successor and lies on no cycle.
+    The windows still to come each take a suffix of p, and a suffix of
+    length j only matters through min(w, its popcount); that is fixed by the
+    positions of the last w ones of p when popcount(p) >= w, and by all of p
+    when popcount(p) = w-1.  So every live state has the same future as the
+    (t-1)-bit string r that keeps only its last w ones, of popcount w or w-1,
+    and there are C(t-1, w) + C(t-1, w-1) = C(t, w) such classes.  Appending
+    c to p and then reducing gives the class of appending c to r, so each
+    class goes, on each admissible bit, to exactly one class: with P the
+    live-state-by-class indicator, A P = P B for the live state matrix A and
+    the class matrix B.  Hence A^n P 1 = P B^n 1, the row sums of A^n and B^n
+    agree, and Gelfand's formula gives rho(A) = rho(B).
+
+    Proof that the bracket is certified and closes.  From any class, t-1
+    appended ones are admissible and reach the class of the all-ones state;
+    from the all-ones state, appending any r of popcount >= w-1 is
+    admissible (after k bits the window holds t-k ones and at least
+    w-1-(t-1-k) ones of r) and reaches r.  So B is irreducible, and the
+    all-ones class has a self-loop, so B is primitive.  For a positive x,
+    min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i (Collatz-Wielandt), and
+    the power iterates of a primitive matrix tend to its Perron vector, so
+    the bracket shrinks to zero width.  Each ratio carries two float roundings,
+    the sum and the quotient, about 2e-16 relative: far below tol.
+    """
+    succ1, succ0 = _follower_classes(t, w)
+    full = len(succ0)
+    vec = np.ones(len(succ1))
+    width = math.inf
     for _ in range(_MAX_POWER_ITER):
-        nxt = np.where(keep0, vec[p0], 0.0) + np.where(keep1, vec[p1], 0.0)
-        total = nxt.sum()
-        est = total / vec.sum()
-        delta = abs(est - est_prev)
-        streak = streak + 1 if delta < tol else 0
-        est_prev = est
-        vec = nxt / total
-        if streak >= _CONVERGENCE_STREAK:
-            return math.log2(est_prev), delta
+        nxt = vec[succ1]
+        nxt[:full] += vec[succ0]
+        ratio = nxt / vec
+        lo, hi = math.log2(ratio.min()), math.log2(ratio.max())
+        width = hi - lo
+        if width < tol:
+            return 0.5 * (lo + hi), width
+        vec = nxt / nxt.max()
     raise ResourceLimitError(
         f"power iteration for window ({t}, {w}) did not converge within "
-        f"{_MAX_POWER_ITER} iterations; last delta {delta:.3g}"
+        f"{_MAX_POWER_ITER} iterations; last bracket width {width:.3g}"
     )
 
 
@@ -164,17 +229,21 @@ def swc_capacity_exact(
 ) -> CapacityResult:
     """Sliding-window capacity from the transfer-graph spectral radius.
 
-    Power iteration from the all-ones vector; the admissible-window graph has
-    a single aperiodic recurrent class reachable from every live state (from
-    any extendable state, appending a 1 is always legal), so the normalized
-    iterates converge to the dominant eigenvalue.  Raises ResourceLimitError
-    when the estimate has not settled within _MAX_POWER_ITER iterations.
+    Power iteration from the all-ones vector on the C(t, w) follower-set
+    classes of the 2^(t-1) suffix states, stopped when the Collatz-Wielandt
+    bracket min/max (Bx)_i/x_i on the spectral radius is narrower than tol in
+    log2.  The value is the bracket's midpoint and residual its width, so
+    the capacity lies within residual/2 of value; _swc_spectral_cached
+    proves the quotient exact and the bracket closing.  Building the classes
+    touches every suffix state, so the budget still counts 2^(t-1) of them.
+    Raises ResourceLimitError when the bracket is still wider than tol after
+    _MAX_POWER_ITER iterations.
     """
     _check_swc_args(t, w, state_budget)
     if w == t:
         return CapacityResult(value=0.0, method="closed-form")
-    value, delta = _swc_spectral_cached(t, w, tol)
-    return CapacityResult(value=value, method="spectral", residual=delta)
+    value, width = _swc_spectral_cached(t, w, tol)
+    return CapacityResult(value=value, method="spectral", residual=width)
 
 
 def swc_capacity_growth(
@@ -187,7 +256,7 @@ def swc_capacity_growth(
     Tracks log2 of per-state counts with a log-domain DP and estimates
     log2(M(n+1)/M(n)) until successive estimates settle within GROWTH_TOL.  Raises
     ResourceLimitError when they have not settled by length _MAX_GROWTH_N.
-    Shares only the window-admissibility tables with the spectral route.
+    Shares no code with the spectral route.
     """
     _check_swc_args(t, w, state_budget)
     if w == t:

@@ -32,9 +32,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import _check_pair
+from .errors import ResourceLimitError, _check_pair
 
 RationalLike = Fraction | int | str
+
+# the longest span a candidate scan may visit: far past the paper's grids (211)
+# and b = 1/200 at e_max = 10 (2,011), whose scans already take tens of seconds
+_MAX_SCAN_SPAN = 100_000
 
 # accepted literals: "7", "3/5", "0.6" (at most 12 fractional digits)
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*|\.\d{1,12})?")
@@ -220,9 +224,16 @@ def _pivot_scan(model: EnergyModel, z: int, feasible: Callable) -> list[tuple[in
     """Spans 1.._pivot(model, z) at their least weight w, where feasible(span, w, model).
 
     The least admissible weight is max(ceil(span*b), span - z); empty when z = 0.
+    Raises ResourceLimitError, before scanning, when the pivot exceeds
+    _MAX_SCAN_SPAN.
     """
+    pivot = _pivot(model, z)
+    if pivot > _MAX_SCAN_SPAN:
+        raise ResourceLimitError(
+            f"candidate scan would reach span {pivot}, over the limit of {_MAX_SCAN_SPAN}"
+        )
     out = []
-    for span in range(1, _pivot(model, z) + 1):
+    for span in range(1, pivot + 1):
         w = max(math.ceil(span * model.b), span - z)
         if feasible(span, w, model):
             out.append((span, w))

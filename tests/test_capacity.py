@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from capcomp import (
     swc_feasible,
     swc_lower_bound,
 )
+from capcomp.capacity import SPECTRAL_TOL, _follower_classes
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -99,10 +101,43 @@ class TestSubblockCapacity:
             sec_capacity(4, 0)
 
 
+def dense_window_capacity(t, w):
+    """log2 of the largest eigenvalue modulus of the full 2^(t-1)-state window matrix."""
+    states = 1 << (t - 1)
+    matrix = np.zeros((states, states))
+    for prev in range(states):
+        for bit in (0, 1):
+            if bin(prev).count("1") + bit >= w:
+                matrix[prev, ((prev << 1) | bit) % states] += 1
+    return math.log2(max(abs(np.linalg.eigvals(matrix))))
+
+
+def bracket(res):
+    return res.value - res.residual / 2, res.value + res.residual / 2
+
+
 class TestWindowCapacity:
     def test_matches_run_length_roots(self):
-        for d in range(1, 10):
-            assert abs(swc_capacity_exact(d + 1, d).value - rll_capacity(d).value) <= 1e-8
+        # the window (d+1, d) is the run-length constraint RLL(d)
+        for d in range(1, 21):
+            lo, hi = bracket(swc_capacity_exact(d + 1, d))
+            assert lo <= rll_capacity(d).value <= hi, d
+
+    def test_bracket_contains_the_dense_spectral_radius(self):
+        for t in range(2, 11):
+            for w in range(1, t):
+                res = swc_capacity_exact(t, w)
+                assert res.method == "spectral"
+                assert 0 < res.residual < SPECTRAL_TOL, (t, w)
+                lo, hi = bracket(res)
+                assert lo <= dense_window_capacity(t, w) <= hi, (t, w)
+
+    def test_one_follower_class_per_weight_w_subset(self):
+        for t in range(2, 13):
+            for w in range(1, t):
+                succ1, succ0 = _follower_classes(t, w)
+                assert len(succ1) == math.comb(t, w), (t, w)
+                assert len(succ0) == math.comb(t - 1, w), (t, w)
 
     def test_full_weight_short_circuits(self):
         res = swc_capacity_exact(25, 25)
@@ -143,7 +178,7 @@ class TestWindowCapacity:
     def test_unconverged_power_iteration_raises(self, monkeypatch):
         monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)
         # a tolerance no other test uses, so the solve is not a cache hit
-        with pytest.raises(ResourceLimitError, match=r"\(12, 6\).*last delta"):
+        with pytest.raises(ResourceLimitError, match=r"\(12, 6\).*last bracket width \d"):
             swc_capacity_exact(12, 6, tol=1e-13)
 
     def test_growth_nmax_flags_residual(self, monkeypatch):

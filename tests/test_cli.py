@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: output formats, exit codes, the state budget flag."""
 
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,16 @@ class TestOutage:
             "outage", "--family", "rll", "--b", "0.3333333333333", "--emax", "1",
         )
         assert rc == 1 and err.startswith("error:")
+
+    def test_scan_past_the_span_limit_is_an_error(self, capsys):
+        # the window scan would visit 10^7 + 11 spans
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, "outage", "--family", "all", "--b", "1/1000000", "--emax", "10"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err == "error: candidate scan would reach span 10000011, over the limit of 100000\n"
 
 
 class TestSimulate:
@@ -255,6 +266,7 @@ class TestConfig:
         rc, out, err = run(capsys, "capacity", "--family", "swc", "--t", "12", "--w", "6")
         assert (rc, out) == (1, "")
         assert err.startswith("error: power iteration for window (12, 6) did not converge")
+        assert "; last bracket width " in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from capcomp import (
     EnergyModel,
+    ResourceLimitError,
     feasible_sec_candidates,
     feasible_swc_candidates,
     outage_occurs,
@@ -166,6 +167,22 @@ class TestCandidates:
 
     def test_sec_empty_when_buffer_below_twice_the_draw(self):
         assert feasible_sec_candidates(model("3/5", "1")) == []
+
+    def test_scan_raises_past_the_span_limit(self):
+        # pivots ceil(10^7 / (1 - b)) and ceil(5 * 10^6 / (1 - b)), both over the limit
+        tiny = model("1/1000000", "10")
+        for scan in (feasible_swc_candidates, feasible_sec_candidates):
+            with pytest.raises(ResourceLimitError, match="over the limit of 100000$"):
+                scan(tiny)
+
+    def test_scan_limit_is_inclusive(self, monkeypatch):
+        # z = 10 and b = 1/2 put the window pivot at span 20
+        m = model("1/2", "5")
+        monkeypatch.setattr("capcomp.energy._MAX_SCAN_SPAN", 20)
+        assert feasible_swc_candidates(m)[-1] == (20, 10)
+        monkeypatch.setattr("capcomp.energy._MAX_SCAN_SPAN", 19)
+        with pytest.raises(ResourceLimitError, match="reach span 20, "):
+            feasible_swc_candidates(m)
 
     def test_candidates_all_feasible(self):
         m = model("2/3", "5/2")
