@@ -105,8 +105,10 @@ def cmd_outage(args: argparse.Namespace) -> int:
         else:
             for family in constraints.FAMILIES:
                 print(f"o_{family}: {_outage_text(report[f'o_{family}'], family)}")
-            print(f"gap_swc_rll: {report['gap_swc_rll']:.6f}")
-            print(f"gap_sec_rll: {report['gap_sec_rll']:.6f}")
+            for gap in ("gap_swc_rll", "gap_sec_rll"):
+                # round first: adding 0.0 turns a rounded -0.0 into 0.0, so
+                # float noise around a zero gap cannot print as -0.000000
+                print(f"{gap}: {round(report[gap], 6) + 0.0:.6f}")
             print(f"ceiling: {report['ceiling']:.6f}")
         return 0
     res = _OPTIMIZERS[args.family](model, args.state_budget)

@@ -15,6 +15,13 @@ draining witness) and its command-line binding:
 
 With these conventions RLL(d) and SWC(d+1, d) accept exactly the same
 sequences at every length, which the verification suites exercise.
+
+Each rule exists twice.  ``_accepts`` tests one bit string of any length;
+``_accepts_words`` tests a numpy array of n-bit integer words at once, with
+shifts and popcounts.  Character i of a string is bit n-1-i of its word, so
+ascending word order is lexicographic string order.  The exhaustive oracles
+(``enumerate_sequences``, ``sets_equal`` and the verification sweeps) run on
+words; ``satisfies`` and the witness builders run on strings.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from typing import ClassVar
+
+import numpy as np
 
 from .capacity import DEFAULT_STATE_BUDGET, _check_swc_args
 from .energy import EnergyModel, _check_bits, rll_feasible, sec_feasible, swc_feasible
@@ -37,7 +46,8 @@ class _Family:
     ``family`` is the CLI name; ``flags`` names the CLI flag of each field in
     field order (SEC's ``length`` is ``--l``); ``labels`` names the fields in
     outage reports.  The per-family rules are the methods ``_accepts`` (the
-    membership test on a checked bit string), ``_count`` (the counting
+    membership test on a checked bit string), ``_accepts_words`` (the same
+    test on an array of n-bit words, as a bool mask), ``_count`` (the counting
     recurrence), ``_feasible`` (the zero-outage condition) and ``_witness``
     (one period of a draining sequence, for infeasible models).
     """
@@ -80,6 +90,16 @@ class RLL(_Family):
                     return False
                 last_zero = i
         return True
+
+    def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
+        ok = np.ones(words.shape, dtype=bool)
+        if n <= self.d:
+            return ok
+        zeros = ~words & ((1 << n) - 1)
+        # no two zeros within d bits of each other
+        for gap in range(1, self.d + 1):
+            ok &= (zeros & (zeros >> gap)) == 0
+        return ok
 
     def _count(self, n: int) -> int:
         d = self.d
@@ -129,6 +149,13 @@ class SWC(_Family):
             if ones < w:
                 return False
         return True
+
+    def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
+        window = (1 << self.t) - 1
+        ok = np.ones(words.shape, dtype=bool)
+        for shift in range(n - self.t + 1):
+            ok &= np.bitwise_count((words >> shift) & window) >= self.w
+        return ok
 
     def _count(self, n: int) -> int:
         t, w = self.t, self.w
@@ -185,6 +212,14 @@ class SEC(_Family):
             for j in range(0, len(bits), self.length)
         )
 
+    def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
+        self._check_length(n)
+        block = (1 << self.length) - 1
+        ok = np.ones(words.shape, dtype=bool)
+        for shift in range(0, n, self.length):
+            ok &= np.bitwise_count((words >> shift) & block) >= self.w
+        return ok
+
     def _count(self, n: int) -> int:
         self._check_length(n)
         # ones accumulated inside the current subblock -> count
@@ -225,12 +260,11 @@ def satisfies(spec: ConstraintSpec, bits: str) -> bool:
     return spec._accepts(bits)
 
 
-def enumerate_sequences(spec: ConstraintSpec, n: int) -> list[str]:
-    """All valid length-n sequences in lexicographic order, by brute force.
+def _words(spec: ConstraintSpec, n: int) -> np.ndarray:
+    """Every valid length-n sequence as an n-bit word, in ascending order.
 
-    Deliberately dumb: every one of the 2^n candidates is tested with
-    satisfies(), so this is the reference the counting recurrences are
-    checked against.  Lengths above DEFAULT_ENUM_LIMIT are refused.
+    All 2^n words are filtered with the family's word rule; lengths above
+    DEFAULT_ENUM_LIMIT are refused.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -238,9 +272,24 @@ def enumerate_sequences(spec: ConstraintSpec, n: int) -> list[str]:
         raise ResourceLimitError(
             f"enumeration of 2^{n} sequences exceeds the limit of 2^{DEFAULT_ENUM_LIMIT}"
         )
-    if n == 0:
-        return [""] if satisfies(spec, "") else []
-    return [s for s in (format(i, f"0{n}b") for i in range(1 << n)) if satisfies(spec, s)]
+    words = np.arange(1 << n, dtype=np.int64)
+    return words[spec._accepts_words(words, n)]
+
+
+def _word_text(word: int, n: int) -> str:
+    """The n-bit string of a word, most significant bit first."""
+    return format(word, f"0{n}b") if n else ""
+
+
+def enumerate_sequences(spec: ConstraintSpec, n: int) -> list[str]:
+    """All valid length-n sequences in lexicographic order, by brute force.
+
+    Deliberately dumb: all 2^n words of n bits are tested against the
+    family's word rule, which uses neither the counting recurrences nor the
+    feasibility conditions, so this is the reference the recurrences are
+    checked against.  Lengths above DEFAULT_ENUM_LIMIT are refused.
+    """
+    return [_word_text(word, n) for word in _words(spec, n).tolist()]
 
 
 def count_exact(spec: ConstraintSpec, n: int) -> int:
@@ -255,7 +304,7 @@ def count_exact(spec: ConstraintSpec, n: int) -> int:
 
 def sets_equal(spec_a: ConstraintSpec, spec_b: ConstraintSpec, n: int) -> bool:
     """Whether two constraints admit exactly the same length-n sequences."""
-    return set(enumerate_sequences(spec_a, n)) == set(enumerate_sequences(spec_b, n))
+    return np.array_equal(_words(spec_a, n), _words(spec_b, n))
 
 
 def adversarial_sequence(

@@ -16,11 +16,15 @@ because the feasibility conditions below take ceilings of products like
 T*B, which are discontinuous in B; a float that merely prints like 3/5
 can land on the wrong side of a threshold.
 
-The recursion itself runs once, in ``_run``: every quantity is scaled by
-the common denominator of B, E_max and E_init, so each step is plain int
-arithmetic and stays exact.  ``outage_occurs`` stops it at the first
-outage; ``simulate`` runs it to the end and turns the scaled levels back
-into Fractions only when it returns.
+Every quantity is scaled by the common denominator of B, E_max and E_init,
+so each step is plain int arithmetic and stays exact.  The scaled recursion
+has two kernels, chosen by the shape of the input:
+
+* ``_run`` steps through one bit string of any length.  ``outage_occurs``
+  stops it at the first outage; ``simulate`` runs it to the end and turns
+  the scaled levels back into Fractions only when it returns.
+* ``_outage_words`` steps an int64 level array over a numpy array of n-bit
+  words, one bit position per step, for the exhaustive verification sweeps.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ResourceLimitError, _check_pair
 
@@ -187,6 +193,30 @@ def outage_occurs(bits: str, model: EnergyModel) -> bool:
     return bool(_run(bits, model, stop_at_outage=True)[1])
 
 
+def _outage_words(words: np.ndarray, n: int, model: EnergyModel) -> np.ndarray:
+    """Whether the battery recursion hits an outage on each n-bit word, as a bool mask.
+
+    Word w stands for the bit string format(w, f"0{n}b"): its first bit is
+    bit n-1.  All words advance together, one bit position per step, in
+    int64 units of 1/den as in _run; after an outage a level is clamped to
+    zero and the run goes on, which leaves the mask unchanged.  The levels
+    stay in [-draw, cap + den - draw], so the kernel is exact when
+    cap + den < 2^63, and raises ResourceLimitError otherwise.
+    """
+    den, draw, cap, start = model._scaled
+    if cap + den >= 1 << 63:
+        raise ResourceLimitError(f"scaled battery levels of {model} exceed int64")
+    up, down = den - draw, -draw
+    level = np.full(words.shape, start, dtype=np.int64)
+    outage = np.zeros(words.shape, dtype=bool)
+    for shift in range(n - 1, -1, -1):
+        level += np.where((words >> shift) & 1, up, down)
+        outage |= level < 0
+        np.maximum(level, 0, out=level)
+        np.minimum(level, cap, out=level)
+    return outage
+
+
 def rll_feasible(d: int, model: EnergyModel) -> bool:
     """Whether every (d, inf) run-length sequence avoids outage under the model."""
     if d < 1:
@@ -216,22 +246,25 @@ def _zeros(model: EnergyModel, shares: int) -> int:
 
 
 def _pivot(model: EnergyModel, z: int) -> int:
-    """The last span the candidate scans visit: ceil(z / (1 - b))."""
-    return math.ceil(z / (1 - model.b))
+    """The last span the candidate scans visit: ceil(z / (1 - b)).
+
+    Raises ResourceLimitError when it exceeds _MAX_SCAN_SPAN, so the scans
+    and the explicit bounds at the pivot refuse it before any work.
+    """
+    pivot = math.ceil(z / (1 - model.b))
+    if pivot > _MAX_SCAN_SPAN:
+        raise ResourceLimitError(
+            f"candidate scan would reach span {pivot}, over the limit of {_MAX_SCAN_SPAN}"
+        )
+    return pivot
 
 
 def _pivot_scan(model: EnergyModel, z: int, feasible: Callable) -> list[tuple[int, int]]:
     """Spans 1.._pivot(model, z) at their least weight w, where feasible(span, w, model).
 
     The least admissible weight is max(ceil(span*b), span - z); empty when z = 0.
-    Raises ResourceLimitError, before scanning, when the pivot exceeds
-    _MAX_SCAN_SPAN.
     """
     pivot = _pivot(model, z)
-    if pivot > _MAX_SCAN_SPAN:
-        raise ResourceLimitError(
-            f"candidate scan would reach span {pivot}, over the limit of {_MAX_SCAN_SPAN}"
-        )
     out = []
     for span in range(1, pivot + 1):
         w = max(math.ceil(span * model.b), span - z)

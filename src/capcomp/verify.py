@@ -5,12 +5,22 @@ counts:       integer recurrences vs brute-force enumeration, and the
 equivalence:  run-length vs window set identities and containments.
 bounds:       spectral vs growth-rate agreement and every capacity inequality.
 outage:       feasibility conditions vs exact simulation, both directions.
+
+The brute-force side of counts, equivalence and outage runs on numpy arrays
+of n-bit words (see constraints): the valid words of each (spec, n) are
+enumerated once and cached, then tested against another family's word rule
+or the batched battery kernel all at once.  A witness is formatted as a bit
+string only on failure, and it is the first failing word in ascending order,
+which is the first failing string in lexicographic order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import astuple, dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .bounds import sandwich_bounds, swc_lower_bound
 from .capacity import (
@@ -25,13 +35,12 @@ from .constraints import (
     SEC,
     SWC,
     ConstraintSpec,
+    _word_text,
+    _words,
     adversarial_sequence,
     count_exact,
-    enumerate_sequences,
-    satisfies,
-    sets_equal,
 )
-from .energy import EnergyModel, outage_occurs
+from .energy import EnergyModel, _outage_words, outage_occurs
 
 MODEL_B_GRID = ("1/4", "1/2", "3/5", "3/4")
 MODEL_EMAX_GRID = ("1/4", "1/2", "1", "3/2", "2", "3")
@@ -55,8 +64,29 @@ class Check:
 
 
 @lru_cache(maxsize=None)
-def _valid(spec: ConstraintSpec, n: int) -> tuple[str, ...]:
-    return tuple(enumerate_sequences(spec, n))
+def _valid(spec: ConstraintSpec, n: int) -> np.ndarray:
+    words = _words(spec, n)
+    words.flags.writeable = False  # shared by every caller through the cache
+    return words
+
+
+def _same(spec_a: ConstraintSpec, spec_b: ConstraintSpec, n: int) -> bool:
+    return np.array_equal(_valid(spec_a, n), _valid(spec_b, n))
+
+
+def _first_hit(
+    spec: ConstraintSpec, lengths: Iterable[int], hits: Callable
+) -> tuple[int, str] | None:
+    """The first valid sequence of spec, by length then word, that hits(words, n) marks.
+
+    Returns its length and bit string, or None when no valid word is marked.
+    """
+    for n in lengths:
+        words = _valid(spec, n)
+        marked = np.flatnonzero(hits(words, n))
+        if marked.size:
+            return n, _word_text(int(words[marked[0]]), n)
+    return None
 
 
 # how the suites name a spec in check names and details
@@ -108,14 +138,7 @@ def suite_counts(max_n: int = MAX_N) -> list[Check]:
 def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
     checks = []
     for d in range(1, MAX_D + 1):
-        bad = next(
-            (
-                n
-                for n in range(max_n + 1)
-                if not sets_equal(RLL(d), SWC(d + 1, d), n)
-            ),
-            None,
-        )
+        bad = next((n for n in range(max_n + 1) if not _same(RLL(d), SWC(d + 1, d), n)), None)
         checks.append(
             Check(
                 name=f"equivalence: rll d={d} is the window rule t={d + 1} w={d}, n<={max_n}",
@@ -129,14 +152,10 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
                 wide = SWC(t + m, w + m)
                 narrow = SWC(t, w)
                 # below t+m bits the wide rule is vacuous, so start there
-                bad = next(
-                    (
-                        (n, s)
-                        for n in range(t + m, min(max_n, 12) + 1)
-                        for s in _valid(wide, n)
-                        if not satisfies(narrow, s)
-                    ),
-                    None,
+                bad = _first_hit(
+                    wide,
+                    range(t + m, min(max_n, 12) + 1),
+                    lambda words, n: ~narrow._accepts_words(words, n),
                 )
                 checks.append(
                     Check(
@@ -147,7 +166,7 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
                 )
     for t in range(1, 7):
         for w in range(1, t + 1):
-            ok = sets_equal(SWC(t, w), SEC(t, w), t)
+            ok = _same(SWC(t, w), SEC(t, w), t)
             checks.append(
                 Check(
                     name=f"equivalence: window equals subblock at n=t, t={t} w={w}",
@@ -156,14 +175,8 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
             )
     for t in range(1, 6):
         for w in range(1, t + 1):
-            bad = next(
-                (
-                    (n, s)
-                    for n in (t, 2 * t)
-                    for s in _valid(SWC(t, w), n)
-                    if not satisfies(SEC(t, w), s)
-                ),
-                None,
+            bad = _first_hit(
+                SWC(t, w), (t, 2 * t), lambda words, n: ~SEC(t, w)._accepts_words(words, n)
             )
             checks.append(
                 Check(
@@ -172,7 +185,7 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
                     detail="" if bad is None else f"witness {bad[1]} at n={bad[0]}",
                 )
             )
-    differs = not sets_equal(SWC(4, 2), RLL(2), 6)
+    differs = not _same(SWC(4, 2), RLL(2), 6)
     checks.append(
         Check(
             name="equivalence: window t=4 w=2 is not a run-length rule (n=6)",
@@ -304,11 +317,8 @@ def suite_bounds() -> list[Check]:
 
 
 def _outage_free_everywhere(spec: ConstraintSpec, model: EnergyModel, lengths) -> str | None:
-    for n in lengths:
-        for s in _valid(spec, n):
-            if outage_occurs(s, model):
-                return s
-    return None
+    bad = _first_hit(spec, lengths, lambda words, n: _outage_words(words, n, model))
+    return None if bad is None else bad[1]
 
 
 def _find_outage_witness(spec: ConstraintSpec, model: EnergyModel, reps_cap: int) -> str | None:

@@ -110,6 +110,28 @@ class TestOutage:
         assert (rc, out) == (1, "")
         assert err == "error: candidate scan would reach span 10000011, over the limit of 100000\n"
 
+    @pytest.mark.parametrize("family,span", [("swc-lower", 10000011), ("sec-lower", 5000006)])
+    def test_explicit_bound_past_the_span_limit_is_an_error(self, capsys, family, span):
+        # the explicit bounds evaluate only the pivot, but still refuse one past the limit
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, "outage", "--family", family, "--b", "1/1000000", "--emax", "10"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err == f"error: candidate scan would reach span {span}, over the limit of 100000\n"
+
+    @pytest.mark.parametrize("b,rate", [("14/20", "0.464958"), ("17/20", "0.328173")])
+    def test_zero_gap_prints_without_sign(self, capsys, b, rate):
+        # the window optimum is the (d+1, d) window, whose capacity is o_rll's
+        rc, out, _ = run(capsys, "outage", "--family", "all", "--b", b, "--emax", "1")
+        lines = out.splitlines()
+        assert rc == 0
+        assert lines[0].startswith(f"o_rll: {rate} ")
+        assert lines[1].startswith(f"o_swc: {rate} ")
+        assert lines[3] == "gap_swc_rll: 0.000000"
+        assert lines[4] == f"gap_sec_rll: -{rate}"
+
 
 class TestSimulate:
     def test_trace_is_exact(self, capsys):

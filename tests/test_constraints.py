@@ -1,5 +1,6 @@
 """Constraint membership, enumeration, exact counting, adversarial sequences."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,27 @@ from capcomp import (
     sets_equal,
     simulate,
 )
+from capcomp.verify import MAX_D, MAX_L, MAX_T
+
+# every spec the verification suites enumerate
+VERIFY_GRID = (
+    [RLL(d) for d in range(1, MAX_D + 1)]
+    + [SWC(t, w) for t in range(1, MAX_T + 1) for w in range(1, t + 1)]
+    + [SEC(length, w) for length in range(1, MAX_L + 1) for w in range(1, length + 1)]
+)
+
+
+def _lengths(spec, max_n=12):
+    """The lengths n <= max_n the spec accepts: multiples of the subblock length for SEC."""
+    step = spec.length if isinstance(spec, SEC) else 1
+    return range(0, max_n + 1, step)
+
+
+def reference_enumeration(spec, n):
+    """Every n-bit string that satisfies() accepts, in lexicographic order."""
+    if n == 0:
+        return [""] if satisfies(spec, "") else []
+    return [s for s in (format(i, f"0{n}b") for i in range(1 << n)) if satisfies(spec, s)]
 
 
 class TestSatisfies:
@@ -51,6 +73,17 @@ class TestSatisfies:
         with pytest.raises(ValueError):
             satisfies(RLL(1), "012")
 
+    @pytest.mark.parametrize("spec", VERIFY_GRID, ids=str)
+    def test_word_rule_agrees_with_string_rule(self, spec):
+        for n in _lengths(spec):
+            words = np.arange(1 << n, dtype=np.int64)
+            expect = [satisfies(spec, format(w, f"0{n}b") if n else "") for w in range(1 << n)]
+            assert spec._accepts_words(words, n).tolist() == expect, n
+
+    def test_word_rule_rejects_partial_blocks(self):
+        with pytest.raises(ValueError, match="not a multiple of the subblock length 4"):
+            SEC(4, 2)._accepts_words(np.arange(8, dtype=np.int64), 3)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RLL(0)
@@ -81,6 +114,11 @@ class TestEnumerate:
 
     def test_zero_length(self):
         assert enumerate_sequences(SEC(3, 2), 0) == [""]
+
+    @pytest.mark.parametrize("spec", VERIFY_GRID, ids=str)
+    def test_matches_the_string_reference(self, spec):
+        for n in _lengths(spec):
+            assert enumerate_sequences(spec, n) == reference_enumeration(spec, n), n
 
 
 SPEC_POOL = (

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from capcomp import (
     simulate,
     swc_feasible,
 )
+from capcomp.energy import _outage_words
+from capcomp.verify import MODEL_B_GRID, MODEL_EMAX_GRID
 
 
 def model(b, e_max, e_init=None):
@@ -127,6 +130,25 @@ class TestSimulate:
         assert all(0 <= level <= e_max for level in tr.levels)
         assert (tr.levels, tr.outages, tr.overflows) == (levels, outages, overflows)
         assert outage_occurs(bits, m) == bool(outages)
+
+
+class TestOutageWords:
+    @pytest.mark.parametrize("b", MODEL_B_GRID)
+    @pytest.mark.parametrize("e_max", MODEL_EMAX_GRID)
+    def test_matches_the_string_kernel_on_every_word(self, b, e_max):
+        full = Fraction(e_max)
+        for e_init in (0, full / 2, full):
+            m = EnergyModel.make(b, e_max, e_init)
+            for n in range(11):
+                words = np.arange(1 << n, dtype=np.int64)
+                bits = [format(w, f"0{n}b") if n else "" for w in range(1 << n)]
+                expect = [outage_occurs(s, m) for s in bits]
+                assert _outage_words(words, n, m).tolist() == expect, (m, n)
+
+    def test_refuses_levels_past_int64(self):
+        m = model("1/2", str(1 << 62))
+        with pytest.raises(ResourceLimitError, match="exceed int64"):
+            _outage_words(np.arange(4, dtype=np.int64), 2, m)
 
 
 class TestFeasibility:
