@@ -6,8 +6,9 @@ closed form over an exact big-integer binomial sum.  Sliding-window capacity
 has no closed form; it is the log of the spectral radius of the window
 transfer graph, computed by power iteration on the C(T, w) follower-set
 classes of its 2^(T-1) suffix states and stopped on a certified
-Collatz-Wielandt bracket, with an independent growth-rate route (log-domain
-counting DP over all suffix states) as a cross-check.
+Collatz-Wielandt bracket.  The classes are enumerated directly, so the solve
+allocates only C(T, w)-sized arrays.  An independent growth-rate route
+(log-domain counting DP over all suffix states) is the cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import numpy as np
 
 from .errors import ResourceLimitError, _check_pair
 
-# A window solve touches all 2^(T-1) suffix states; refuse beyond this many.
+# The most suffix states, 2^(T-1), a window of length T may have before it is
+# refused.  The spectral solve allocates only C(T, w)-sized arrays; the budget
+# still counts 2^(T-1) so that which windows are solved, and so every output,
+# stays put.  The growth route does allocate all 2^(T-1) states.
 DEFAULT_STATE_BUDGET = 1 << 20
 
 # the run-length root's bisection bracket width, the log2 bracket width at
@@ -37,6 +41,11 @@ _CONVERGENCE_STREAK = 3
 # iteration caps of the spectral and growth routes; running out raises
 _MAX_POWER_ITER = 200_000
 _MAX_GROWTH_N = 4000
+
+# the power iteration tests its bracket, and normalizes, on every this-many-th
+# product; a class has at most two successors, so an iterate grows by at most
+# 2^_CHECK_EVERY in between
+_CHECK_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,11 @@ def _window_tables(t: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def _fits_budget(t: int, w: int, state_budget: int) -> bool:
-    """Whether a (t, w) window needs no solve (w == t) or its 2^(t-1) states fit the budget."""
+    """Whether a (t, w) window needs no solve (w == t) or its 2^(t-1) states fit the budget.
+
+    The spectral solve needs only C(t, w) classes, but the count stays
+    2^(t-1): counting classes would solve more windows and change outputs.
+    """
     return w == t or (1 << (t - 1)) <= state_budget
 
 
@@ -138,23 +151,44 @@ def _check_swc_args(t: int, w: int, state_budget: int) -> None:
         )
 
 
+def _popcount_strings(bits: int, k: int) -> np.ndarray:
+    """All bits-bit integers of popcount k, ascending, without the 2^bits others.
+
+    The strings are built one bit at a time, keeping per popcount j only those
+    that can still reach k.  At bit b those are at most C(bits, k) in all:
+    each extends in at least one way to a distinct k-subset of the bits.  For
+    2k > bits the popcount-(bits-k) strings are built and complemented, which
+    reverses their order, so no intermediate set is larger than the result.
+    """
+    if 2 * k > bits:
+        return ((1 << bits) - 1 - _popcount_strings(bits, bits - k))[::-1]
+    none = np.zeros(0, dtype=np.int64)
+    rows = {0: np.zeros(1, dtype=np.int64)}
+    for b in range(bits):
+        rows = {
+            j: np.concatenate([rows.get(j, none), rows.get(j - 1, none) | (1 << b)])
+            for j in range(max(0, k - bits + b + 1), min(b + 1, k) + 1)
+        }
+    return rows[k]
+
+
 def _follower_classes(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Successor tables of the follower-set classes of the (t, w) window graph.
 
     Class i is represented by a (t-1)-bit string r of popcount w or w-1, the
-    popcount-w classes first.  succ1[i] is the class reached by appending a 1;
-    succ0[j] is the class reached by appending a 0, for the popcount-w
-    classes j < len(succ0) only, since a 0 after a popcount-(w-1) state
-    closes a window of weight w-1.  Appending bit c shifts it in and, when
-    the popcount reaches w+1, clears the highest set bit.
+    popcount-w classes first, each group ascending.  succ1[i] is the class
+    reached by appending a 1; succ0[j] is the class reached by appending a 0,
+    for the popcount-w classes j < len(succ0) only, since a 0 after a
+    popcount-(w-1) state closes a window of weight w-1.  Appending bit c
+    shifts it in and, when the popcount reaches w+1, clears the highest set
+    bit; the result's index is found by binary search among the class keys.
+    No array is longer than C(t, w).
     """
     mask = (1 << (t - 1)) - 1
-    states = np.arange(mask + 1, dtype=np.int64)
-    pc = np.bitwise_count(states)
-    heavy = states[pc == w]
-    reps = np.concatenate([heavy, states[pc == w - 1]])
-    index = np.zeros(mask + 1, dtype=np.int64)
-    index[reps] = np.arange(len(reps))
+    heavy = _popcount_strings(t - 1, w)
+    # a light class is keyed by its string with bit t-1 set, so the keys of
+    # all classes ascend in class order
+    keys = np.concatenate([heavy, _popcount_strings(t - 1, w - 1) | (mask + 1)])
 
     def successor(r: np.ndarray, c: int) -> np.ndarray:
         s = ((r << 1) & mask) | c
@@ -164,9 +198,11 @@ def _follower_classes(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
             top |= top >> shift
             shift <<= 1
         top ^= top >> 1
-        return index[np.where(np.bitwise_count(s) > w, s ^ top, s)]
+        pc = np.bitwise_count(s)
+        s = np.where(pc > w, s ^ top, s)
+        return np.searchsorted(keys, np.where(pc < w, s | (mask + 1), s))
 
-    return successor(reps, 1), successor(heavy, 0)
+    return successor(keys & mask, 1), successor(heavy, 0)
 
 
 @lru_cache(maxsize=None)
@@ -200,15 +236,21 @@ def _swc_spectral_cached(t: int, w: int, tol: float) -> tuple[float, float]:
     min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i (Collatz-Wielandt), and
     the power iterates of a primitive matrix tend to its Perron vector, so
     the bracket shrinks to zero width.  Each ratio carries two float roundings,
-    the sum and the quotient, about 2e-16 relative: far below tol.
+    the sum and the quotient, about 2e-16 relative: far below tol.  The
+    bracket is evaluated only on every _CHECK_EVERY-th product and on the
+    last; the bound holds for every positive x, so each evaluated bracket is
+    still certified, and those iterates still tend to the Perron vector.
     """
     succ1, succ0 = _follower_classes(t, w)
     full = len(succ0)
     vec = np.ones(len(succ1))
     width = math.inf
-    for _ in range(_MAX_POWER_ITER):
-        nxt = vec[succ1]
-        nxt[:full] += vec[succ0]
+    for n in range(1, _MAX_POWER_ITER + 1):
+        nxt = np.take(vec, succ1)
+        nxt[:full] += np.take(vec, succ0)
+        if n % _CHECK_EVERY and n < _MAX_POWER_ITER:
+            vec = nxt
+            continue
         ratio = nxt / vec
         lo, hi = math.log2(ratio.min()), math.log2(ratio.max())
         width = hi - lo
@@ -234,8 +276,9 @@ def swc_capacity_exact(
     bracket min/max (Bx)_i/x_i on the spectral radius is narrower than tol in
     log2.  The value is the bracket's midpoint and residual its width, so
     the capacity lies within residual/2 of value; _swc_spectral_cached
-    proves the quotient exact and the bracket closing.  Building the classes
-    touches every suffix state, so the budget still counts 2^(t-1) of them.
+    proves the quotient exact and the bracket closing.  The solve allocates
+    only C(t, w)-sized arrays; the budget still counts 2^(t-1) suffix states
+    only so that every output stays the same.
     Raises ResourceLimitError when the bracket is still wider than tol after
     _MAX_POWER_ITER iterations.
     """

@@ -1,6 +1,7 @@
 """Capacity routes: root bisection, exact closed forms, spectral, growth."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -23,7 +24,7 @@ from capcomp import (
     swc_feasible,
     swc_lower_bound,
 )
-from capcomp.capacity import SPECTRAL_TOL, _follower_classes
+from capcomp.capacity import SPECTRAL_TOL, _follower_classes, _swc_spectral_cached
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -112,16 +113,52 @@ def dense_window_capacity(t, w):
     return math.log2(max(abs(np.linalg.eigvals(matrix))))
 
 
+def follower_classes_over_all_states(t, w):
+    """The class tables by filtering all 2^(t-1) states, with a lookup table."""
+    mask = (1 << (t - 1)) - 1
+    states = np.arange(mask + 1, dtype=np.int64)
+    pc = np.bitwise_count(states)
+    heavy = states[pc == w]
+    reps = np.concatenate([heavy, states[pc == w - 1]])
+    index = np.zeros(mask + 1, dtype=np.int64)
+    index[reps] = np.arange(len(reps))
+
+    def successor(r, c):
+        out = []
+        for rep in r.tolist():
+            s = ((rep << 1) & mask) | c
+            if bin(s).count("1") > w:
+                s ^= 1 << (s.bit_length() - 1)
+            out.append(int(index[s]))
+        return out
+
+    return successor(reps, 1), successor(heavy, 0)
+
+
 def bracket(res):
     return res.value - res.residual / 2, res.value + res.residual / 2
 
 
 class TestWindowCapacity:
     def test_matches_run_length_roots(self):
-        # the window (d+1, d) is the run-length constraint RLL(d)
+        # the window (d+1, d) is the run-length constraint RLL(d); the
+        # reference is the root at 40 digits, not the bisection midpoint,
+        # which can sit a few 1e-13 off it and outside a tighter bracket
         for d in range(1, 21):
+
+            def poly(x):
+                return x ** (d + 1) - x**d - 1
+
+            with mpmath.workdps(40):
+                root = mpmath.findroot(poly, (1, 2), solver="anderson")
+                assert 1 < root < 2 and abs(poly(root)) < mpmath.mpf(10) ** -35
+                exact = mpmath.log(root, 2)
             lo, hi = bracket(swc_capacity_exact(d + 1, d))
-            assert lo <= rll_capacity(d).value <= hi, d
+            assert lo <= exact <= hi, d
+            # the bisection bracket [X - residual/2, X + residual/2]; X comes
+            # back from the log2 value a few ulps off the midpoint
+            rll = rll_capacity(d)
+            assert abs(root - 2**rll.value) <= rll.residual / 2 + 1e-15, d
 
     def test_bracket_contains_the_dense_spectral_radius(self):
         for t in range(2, 11):
@@ -133,11 +170,28 @@ class TestWindowCapacity:
                 assert lo <= dense_window_capacity(t, w) <= hi, (t, w)
 
     def test_one_follower_class_per_weight_w_subset(self):
-        for t in range(2, 13):
+        for t in range(2, 17):
             for w in range(1, t):
                 succ1, succ0 = _follower_classes(t, w)
                 assert len(succ1) == math.comb(t, w), (t, w)
                 assert len(succ0) == math.comb(t - 1, w), (t, w)
+                ref1, ref0 = follower_classes_over_all_states(t, w)
+                assert succ1.tolist() == ref1 and succ0.tolist() == ref0, (t, w)
+
+    def test_solve_allocates_no_suffix_state_array(self):
+        # one int64 array over the 2^20 suffix states of (21, 20) is 8 MB;
+        # a tolerance no other test uses, so the solve is not a cache hit
+        tracemalloc.start()
+        try:
+            _follower_classes(21, 20)
+            classes_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _swc_spectral_cached(21, 20, 3e-10)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert classes_peak < 1 << 20
+        assert solve_peak < 1 << 20
 
     def test_full_weight_short_circuits(self):
         res = swc_capacity_exact(25, 25)
