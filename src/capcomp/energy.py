@@ -24,14 +24,16 @@ has two kernels, chosen by the shape of the input:
   stops it at the first outage; ``simulate`` runs it to the end and turns
   the scaled levels back into Fractions only when it returns.
 * ``_outage_words`` steps an int64 level array over a numpy array of n-bit
-  words, one bit position per step, for the exhaustive verification sweeps.
+  words under a batch of models at once, one bit position per step, for the
+  exhaustive verification sweeps: each spec is swept once per length for
+  all the models it is feasible under.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -193,27 +195,34 @@ def outage_occurs(bits: str, model: EnergyModel) -> bool:
     return bool(_run(bits, model, stop_at_outage=True)[1])
 
 
-def _outage_words(words: np.ndarray, n: int, model: EnergyModel) -> np.ndarray:
-    """Whether the battery recursion hits an outage on each n-bit word, as a bool mask.
+def _outage_words(words: np.ndarray, n: int, models: Sequence[EnergyModel]) -> np.ndarray:
+    """Whether the battery recursion hits an outage on each n-bit word, per model.
 
-    Word w stands for the bit string format(w, f"0{n}b"): its first bit is
-    bit n-1.  All words advance together, one bit position per step, in
-    int64 units of 1/den as in _run; after an outage a level is clamped to
-    zero and the run goes on, which leaves the mask unchanged.  The levels
-    stay in [-draw, cap + den - draw], so the kernel is exact when
-    cap + den < 2^63, and raises ResourceLimitError otherwise.
+    Returns a bool mask of shape (len(models), len(words)) whose row i is
+    the outage mask under models[i].  Word w stands for the bit string
+    format(w, f"0{n}b"): its first bit is bit n-1.  All words under all
+    models advance together, one bit position per step, in int64 units of
+    1/den as in _run, each model with its own den; after an outage a level
+    is clamped to zero and the run goes on, which leaves the mask unchanged.
+    A step first takes the draw from every level, then adds den where the
+    bit is 1, both in place.  The levels stay in [-draw, cap + den - draw],
+    so the kernel is exact when cap + den < 2^63 for every model, and raises
+    ResourceLimitError naming the first model that fails it, before any work.
     """
-    den, draw, cap, start = model._scaled
-    if cap + den >= 1 << 63:
-        raise ResourceLimitError(f"scaled battery levels of {model} exceed int64")
-    up, down = den - draw, -draw
-    level = np.full(words.shape, start, dtype=np.int64)
-    outage = np.zeros(words.shape, dtype=bool)
+    scaled = [model._scaled for model in models]
+    for model, (den, _, cap, _) in zip(models, scaled):
+        if cap + den >= 1 << 63:
+            raise ResourceLimitError(f"scaled battery levels of {model} exceed int64")
+    # one int64 column per quantity, so each step broadcasts over the words
+    den, draw, cap, start = np.array(scaled, dtype=np.int64).reshape(-1, 4, 1).transpose(1, 0, 2)
+    level = np.repeat(start, len(words), axis=1)
+    outage = np.zeros(level.shape, dtype=bool)
     for shift in range(n - 1, -1, -1):
-        level += np.where((words >> shift) & 1, up, down)
+        one = ((words >> shift) & 1).astype(bool)
+        np.subtract(level, draw, out=level)
+        np.add(level, den, out=level, where=one)
         outage |= level < 0
-        np.maximum(level, 0, out=level)
-        np.minimum(level, cap, out=level)
+        np.clip(level, 0, cap, out=level)
     return outage
 
 

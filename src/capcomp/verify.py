@@ -9,9 +9,11 @@ outage:       feasibility conditions vs exact simulation, both directions.
 The brute-force side of counts, equivalence and outage runs on numpy arrays
 of n-bit words (see constraints): the valid words of each (spec, n) are
 enumerated once and cached, then tested against another family's word rule
-or the batched battery kernel all at once.  A witness is formatted as a bit
-string only on failure, and it is the first failing word in ascending order,
-which is the first failing string in lexicographic order.
+or the batched battery kernel all at once.  The outage suite sweeps each
+spec once per length for all the grid models it is feasible under, in one
+kernel call.  A witness is formatted as a bit string only on failure, and it
+is the first failing word in ascending order, which is the first failing
+string in lexicographic order.
 """
 
 from __future__ import annotations
@@ -316,9 +318,26 @@ def suite_bounds() -> list[Check]:
     return checks
 
 
-def _outage_free_everywhere(spec: ConstraintSpec, model: EnergyModel, lengths) -> str | None:
-    bad = _first_hit(spec, lengths, lambda words, n: _outage_words(words, n, model))
-    return None if bad is None else bad[1]
+def _first_outages(
+    spec: ConstraintSpec, models: list[EnergyModel], lengths: Iterable[int]
+) -> list[str | None]:
+    """Per model, the first valid sequence of spec, by length then word, that drains it.
+
+    Each length is swept in one battery kernel call over the models that
+    have no witness yet; None where no valid sequence of those lengths
+    hits an outage.
+    """
+    witnesses: list[str | None] = [None] * len(models)
+    for n in lengths:
+        open_rows = [i for i, witness in enumerate(witnesses) if witness is None]
+        if not open_rows:
+            break
+        words = _valid(spec, n)
+        marked = _outage_words(words, n, [models[i] for i in open_rows])
+        for i, row in zip(open_rows, marked):
+            if row.any():
+                witnesses[i] = _word_text(int(words[row.argmax()]), n)
+    return witnesses
 
 
 def _find_outage_witness(spec: ConstraintSpec, model: EnergyModel, reps_cap: int) -> str | None:
@@ -348,29 +367,39 @@ def suite_outage(max_n: int = MAX_N, reps_cap: int = REPS_CAP) -> list[Check]:
     carry no outage guarantee).  Infeasible setups must yield a draining
     witness.
     """
+    models = {
+        f"b={b_str} emax={e_str}": EnergyModel.make(b_str, e_str)
+        for b_str in MODEL_B_GRID
+        for e_str in MODEL_EMAX_GRID
+    }
+    # the first outage witness, or None, of every feasible (spec, model label) pair
+    sweeps: dict[tuple[ConstraintSpec, str], str | None] = {}
+    for specs, lengths in _OUTAGE_GRID:
+        for spec in specs:
+            feasible = {label: model for label, model in models.items() if spec._feasible(model)}
+            if feasible:
+                witnesses = _first_outages(spec, list(feasible.values()), lengths(spec, max_n))
+                sweeps.update(zip(((spec, label) for label in feasible), witnesses))
     checks = []
-    for b_str in MODEL_B_GRID:
-        for e_str in MODEL_EMAX_GRID:
-            model = EnergyModel.make(b_str, e_str)
-            label = f"b={b_str} emax={e_str}"
-            for specs, lengths in _OUTAGE_GRID:
-                bad = None
-                for spec in specs:
-                    if spec._feasible(model):
-                        witness = _outage_free_everywhere(spec, model, lengths(spec, max_n))
-                        if witness is not None:
-                            bad = f"feasible {_spec_text(spec)} outages on {witness}"
-                            break
-                    elif _find_outage_witness(spec, model, reps_cap) is None:
-                        bad = f"infeasible {_spec_text(spec)} produced no outage witness"
+    for label, model in models.items():
+        for specs, _ in _OUTAGE_GRID:
+            bad = None
+            for spec in specs:
+                if (spec, label) in sweeps:
+                    witness = sweeps[spec, label]
+                    if witness is not None:
+                        bad = f"feasible {_spec_text(spec)} outages on {witness}"
                         break
-                checks.append(
-                    Check(
-                        name=f"outage iff, {specs[0].family}, {label}",
-                        passed=bad is None,
-                        detail=bad or "",
-                    )
+                elif _find_outage_witness(spec, model, reps_cap) is None:
+                    bad = f"infeasible {_spec_text(spec)} produced no outage witness"
+                    break
+            checks.append(
+                Check(
+                    name=f"outage iff, {specs[0].family}, {label}",
+                    passed=bad is None,
+                    detail=bad or "",
                 )
+            )
     return checks
 
 
@@ -387,12 +416,18 @@ def run_suite(name: str, max_n: int | None = None, reps_cap: int | None = None) 
 
     max_n caps the sequence length of the counts, equivalence and outage
     suites, and reps_cap the outage suite's witness search; None keeps
-    MAX_N and REPS_CAP.
+    MAX_N and REPS_CAP.  A negative max_n or a reps_cap below 1 raises
+    ValueError: the suites would pass on an empty range or fail for want of
+    a single witness try.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     max_n = MAX_N if max_n is None else max_n
     reps_cap = REPS_CAP if reps_cap is None else reps_cap
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if reps_cap < 1:
+        raise ValueError(f"reps_cap must be >= 1, got {reps_cap}")
     args = {"counts": (max_n,), "equivalence": (max_n,), "bounds": (), "outage": (max_n, reps_cap)}
     checks = []
     for key, suite in SUITES.items():

@@ -272,6 +272,18 @@ class TestVerify:
         assert checks and all(c["passed"] for c in checks)
         assert {"name", "passed", "detail"} <= set(checks[0])
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--suite", "counts", "--max-n", "-1"], "max_n must be >= 0, got -1"),
+            (["--suite", "outage", "--reps-cap", "0"], "reps_cap must be >= 1, got 0"),
+            (["--suite", "outage", "--reps-cap", "-5"], "reps_cap must be >= 1, got -5"),
+        ],
+    )
+    def test_rejects_invalid_limits(self, capsys, flags, message):
+        rc, out, err = run(capsys, "verify", *flags)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestConfig:
     def test_state_budget_flag_lowers_the_budget(self, capsys):

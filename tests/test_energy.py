@@ -1,6 +1,7 @@
 """Battery model: parsing, simulation, feasibility, candidate families."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -132,23 +133,60 @@ class TestSimulate:
         assert outage_occurs(bits, m) == bool(outages)
 
 
+@lru_cache(maxsize=None)
+def string_outages(m, n):
+    """outage_occurs on every n-bit string, in ascending word order."""
+    return [outage_occurs(format(w, f"0{n}b") if n else "", m) for w in range(1 << n)]
+
+
+def grid_models():
+    """Every verify grid model at e_init 0, e_max/2 and e_max: mixed denominators."""
+    return [
+        EnergyModel.make(b, e_max, e_init)
+        for b in MODEL_B_GRID
+        for e_max in MODEL_EMAX_GRID
+        for e_init in (0, Fraction(e_max) / 2, e_max)
+    ]
+
+
 class TestOutageWords:
     @pytest.mark.parametrize("b", MODEL_B_GRID)
     @pytest.mark.parametrize("e_max", MODEL_EMAX_GRID)
     def test_matches_the_string_kernel_on_every_word(self, b, e_max):
         full = Fraction(e_max)
-        for e_init in (0, full / 2, full):
-            m = EnergyModel.make(b, e_max, e_init)
-            for n in range(11):
-                words = np.arange(1 << n, dtype=np.int64)
-                bits = [format(w, f"0{n}b") if n else "" for w in range(1 << n)]
-                expect = [outage_occurs(s, m) for s in bits]
-                assert _outage_words(words, n, m).tolist() == expect, (m, n)
+        models = [EnergyModel.make(b, e_max, e_init) for e_init in (0, full / 2, full)]
+        for n in range(11):
+            marked = _outage_words(np.arange(1 << n, dtype=np.int64), n, models)
+            for m, row in zip(models, marked):
+                assert row.tolist() == string_outages(m, n), (m, n)
+
+    def test_one_call_over_the_whole_grid(self):
+        models = grid_models()
+        assert len(models) == 72
+        for n in range(11):
+            marked = _outage_words(np.arange(1 << n, dtype=np.int64), n, models)
+            assert marked.shape == (72, 1 << n)
+            for m, row in zip(models, marked):
+                assert row.tolist() == string_outages(m, n), (m, n)
+
+    def test_each_row_is_the_one_model_call(self):
+        models = grid_models()[::-1]
+        words = np.arange(1 << 10, dtype=np.int64)
+        marked = _outage_words(words, 10, models)
+        for m, row in zip(models, marked):
+            np.testing.assert_array_equal(row, _outage_words(words, 10, [m])[0])
 
     def test_refuses_levels_past_int64(self):
         m = model("1/2", str(1 << 62))
         with pytest.raises(ResourceLimitError, match="exceed int64"):
-            _outage_words(np.arange(4, dtype=np.int64), 2, m)
+            _outage_words(np.arange(4, dtype=np.int64), 2, [m])
+
+    def test_refusal_names_the_oversized_model_of_a_batch(self):
+        big = model("1/3", str(1 << 62))
+        batch = [model("1/2", "1"), big, model("3/5", "3")]
+        with pytest.raises(ResourceLimitError, match="exceed int64") as exc:
+            _outage_words(np.arange(4, dtype=np.int64), 2, batch)
+        assert str(exc.value) == f"scaled battery levels of {big} exceed int64"
 
 
 class TestFeasibility:
