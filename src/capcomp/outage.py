@@ -8,7 +8,10 @@ with the achieving parameters.
 
 The window-constrained optimum is exact while every candidate's state vector
 fits the budget; larger candidates fall back to the best known lower bound
-and the result is tagged accordingly.
+and the result is tagged accordingly.  Within the budget each zero count
+T - w is solved once, at its shortest window: a longer window with the same
+zero count has a strictly smaller capacity (proof in o_swc), so it is never
+the argmax and is not solved.
 """
 
 from __future__ import annotations
@@ -105,12 +108,35 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     Maximizes the exact window capacity over the outage-free candidate family.
     Candidates whose state vector exceeds the budget contribute their best
     lower bound instead, and the result is then tagged "lower-bound".  Ties go
-    to the smallest window.
+    to the smallest window.  Each zero count z = T - w is solved only at its
+    shortest candidate within the budget; the longer ones with the same z
+    cannot win and are rated zero unsolved.
+
+    Proof that a longer window with the same zero count cannot win.  Let
+    T' < T share the zero count z.  For z = 0 both rates are zero.  For
+    z >= 1, every length-T' window lies inside a length-T window, so a
+    sequence with at most z zeros in every T-window has at most z in every
+    T'-window: the (T, T - z) shift lies inside the (T', T' - z) shift.  It
+    lies strictly inside: ...1 0^z 1^(T'-z) 0 1... is in the T' shift, but a
+    T-window holds all z + 1 of its zeros.  The (T', T' - z) class graph is
+    irreducible (proved in _swc_spectral_cached), so its proper subshift has
+    strictly smaller entropy (Lind-Marcus, Cor. 4.4.9): C(T, T - z) <
+    C(T', T' - z).  The scan visits T in ascending order, and the budget
+    admits every shorter window when it admits T, so (T', T' - z) was solved
+    first, with a positive rate.  _best keeps the first candidate on ties,
+    so rating the longer window zero changes neither the value nor the
+    params, and ties still go to the smallest window.  Fallback candidates
+    are all rated: their bounds are not monotone in T, so skipping one could
+    lower the reported bound.
     """
     model = model.with_full_buffer()
+    solved: set[int] = set()
 
     def rate(t: int, w: int) -> tuple[float, bool]:
         if _fits_budget(t, w, state_budget):
+            if t - w in solved:
+                return 0.0, True
+            solved.add(t - w)
             return swc_capacity_exact(t, w, state_budget=state_budget).value, True
         return _swc_fallback(t, w)
 

@@ -107,6 +107,13 @@ def _subblocks(max_l: int) -> list[SEC]:
     return [SEC(length, w) for length in range(1, max_l + 1) for w in range(1, length + 1)]
 
 
+# the nested-window equivalence checks: each wide window (t+m, w+m), m = 1, 2,
+# against the narrow (t, w) it lies inside, for t <= 4
+_NESTED_WINDOWS = [
+    (SWC(t + m, w + m), SWC(t, w)) for t in range(1, 5) for w in range(1, t + 1) for m in (1, 2)
+]
+
+
 def _count_check(spec: ConstraintSpec, lengths: range, max_n: int) -> Check:
     bad = next((n for n in lengths if count_exact(spec, n) != len(_valid(spec, n))), None)
     return Check(
@@ -148,24 +155,21 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
                 detail="" if bad is None else f"sets differ at n={bad}",
             )
         )
-    for t in range(1, 5):
-        for w in range(1, t + 1):
-            for m in (1, 2):
-                wide = SWC(t + m, w + m)
-                narrow = SWC(t, w)
-                # below t+m bits the wide rule is vacuous, so start there
-                bad = _first_hit(
-                    wide,
-                    range(t + m, min(max_n, 12) + 1),
-                    lambda words, n: ~narrow._accepts_words(words, n),
-                )
-                checks.append(
-                    Check(
-                        name=f"equivalence: window t={t + m} w={w + m} inside t={t} w={w}, n<=12",
-                        passed=bad is None,
-                        detail="" if bad is None else f"witness {bad[1]} at n={bad[0]}",
-                    )
-                )
+    for wide, narrow in _NESTED_WINDOWS:
+        # below wide.t bits the wide rule is vacuous, so start there
+        bad = _first_hit(
+            wide,
+            range(wide.t, min(max_n, 12) + 1),
+            lambda words, n: ~narrow._accepts_words(words, n),
+        )
+        checks.append(
+            Check(
+                name=f"equivalence: window t={wide.t} w={wide.w} inside "
+                f"t={narrow.t} w={narrow.w}, n<=12",
+                passed=bad is None,
+                detail="" if bad is None else f"witness {bad[1]} at n={bad[0]}",
+            )
+        )
     for t in range(1, 7):
         for w in range(1, t + 1):
             ok = _same(SWC(t, w), SEC(t, w), t)
@@ -358,6 +362,12 @@ _OUTAGE_GRID = (
     (_subblocks(MAX_L), lambda spec, max_n: (spec.length, 2 * spec.length, 3 * spec.length)),
 )
 
+# the least max_n at which every length sweep covers a length: the outage
+# suite sweeps RLL(d) from n = d + 1 and SWC(t, w) from n = t, and the
+# nested-window checks from the wide window's t (the subblock sweeps run at
+# fixed multiples of L, whatever max_n)
+_MIN_MAX_N = max(MAX_D + 1, MAX_T, *(wide.t for wide, _ in _NESTED_WINDOWS))
+
 
 def suite_outage(max_n: int = MAX_N, reps_cap: int = REPS_CAP) -> list[Check]:
     """Feasibility conditions against simulation, in both directions.
@@ -416,9 +426,9 @@ def run_suite(name: str, max_n: int | None = None, reps_cap: int | None = None) 
 
     max_n caps the sequence length of the counts, equivalence and outage
     suites, and reps_cap the outage suite's witness search; None keeps
-    MAX_N and REPS_CAP.  A negative max_n or a reps_cap below 1 raises
-    ValueError: the suites would pass on an empty range or fail for want of
-    a single witness try.
+    MAX_N and REPS_CAP.  A max_n below the longest spec a length sweep
+    covers, or a reps_cap below 1, raises ValueError: the suites would pass
+    on an empty range or fail for want of a single witness try.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
@@ -426,6 +436,11 @@ def run_suite(name: str, max_n: int | None = None, reps_cap: int | None = None) 
     reps_cap = REPS_CAP if reps_cap is None else reps_cap
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
+    if max_n < _MIN_MAX_N:
+        raise ValueError(
+            f"max_n must be >= {_MIN_MAX_N} so that every length sweep covers a length, "
+            f"got {max_n}"
+        )
     if reps_cap < 1:
         raise ValueError(f"reps_cap must be >= 1, got {reps_cap}")
     args = {"counts": (max_n,), "equivalence": (max_n,), "bounds": (), "outage": (max_n, reps_cap)}

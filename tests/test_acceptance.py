@@ -9,6 +9,7 @@ import csv
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 
@@ -29,6 +30,9 @@ from capcomp import (
 
 mpmath.mp.dps = 50
 
+# the benchmark's reference sweep CSVs, read only
+REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
+
 
 def _report(num: int, what: str, problems: list[str]) -> None:
     verdict = "PASS" if not problems else "FAIL"
@@ -47,6 +51,29 @@ def _high_precision_run_length_root(d: int) -> float:
 def _read_rows(path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _reference_problems(path, ref_name: str) -> list[str]:
+    """Cells of a sweep CSV that the benchmark's rule rejects against its reference.
+
+    Every cell must equal the reference byte for byte, except that an o_swc
+    the reference tags lower-bound may rise (and become exact), never fall.
+    """
+    rows, ref_rows = _read_rows(path), _read_rows(REF / ref_name)
+    if len(rows) != len(ref_rows) or (rows and list(rows[0]) != list(ref_rows[0])):
+        return [f"{len(rows)} rows and header differ from {ref_name}"]
+    problems = []
+    for row, ref in zip(rows, ref_rows):
+        swc = ("o_swc", "o_swc_method") if ref["o_swc_method"] == "lower-bound" else ()
+        bad = [key for key in ref if key not in swc and row[key] != ref[key]]
+        if swc and (
+            row["o_swc_method"] not in ("exact", "lower-bound")
+            or float(row["o_swc"]) < float(ref["o_swc"])
+        ):
+            bad.append("o_swc")
+        if bad:
+            problems.append(f"row {ref['param']}: {', '.join(bad)} differ from {ref_name}")
+    return problems
 
 
 def test_criterion_1_closed_form_anchors():
@@ -168,6 +195,8 @@ def test_criterion_7_rate_vs_buffer_sweep(tmp_path):
                 problems.append(f"row {k}: gap decreased")
             prev_gap = gap
         prev_swc, prev_sec = o_swc, o_sec
+    if path.read_bytes() != (REF / "sweep_emax.csv").read_bytes():
+        problems.append("CSV differs from the benchmark reference sweep_emax.csv")
     _report(7, "rate vs buffer sweep at b=3/5", problems)
 
 
@@ -204,6 +233,7 @@ def test_criterion_8_rate_vs_draw_sweep(tmp_path):
             problems.append(f"b={b}: o_swc {o_swc} below o_rll {o_rll}")
         if o_sec - o_rll <= 1e-6:  # 10 >= 2b and o_rll > 0 on the whole grid
             problems.append(f"b={b}: subblock gap {o_sec - o_rll} not strict")
+    problems += _reference_problems(path, "sweep_b.csv")
     _report(8, "rate vs draw sweep at e_max=10", problems)
 
 

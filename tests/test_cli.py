@@ -278,6 +278,14 @@ class TestVerify:
             (["--suite", "counts", "--max-n", "-1"], "max_n must be >= 0, got -1"),
             (["--suite", "outage", "--reps-cap", "0"], "reps_cap must be >= 1, got 0"),
             (["--suite", "outage", "--reps-cap", "-5"], "reps_cap must be >= 1, got -5"),
+            (
+                ["--suite", "outage", "--max-n", "1"],
+                "max_n must be >= 6 so that every length sweep covers a length, got 1",
+            ),
+            (
+                ["--suite", "equivalence", "--max-n", "0"],
+                "max_n must be >= 6 so that every length sweep covers a length, got 0",
+            ),
         ],
     )
     def test_rejects_invalid_limits(self, capsys, flags, message):

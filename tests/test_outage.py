@@ -10,6 +10,8 @@ from capcomp import (
     EnergyModel,
     NoWitnessError,
     adversarial_sequence,
+    capacity,
+    cli,
     feasible_sec_candidates,
     feasible_swc_candidates,
     gap_report,
@@ -21,8 +23,11 @@ from capcomp import (
     rll_capacity,
     sec_capacity,
     sec_feasible,
+    swc_capacity_exact,
     swc_feasible,
 )
+from capcomp.capacity import _fits_budget
+from capcomp.outage import _best, _swc_fallback
 
 B_GRID = ("1/4", "1/2", "3/5", "3/4")
 EMAX_GRID = ("1/4", "1/2", "1", "3/2", "2", "3")
@@ -79,6 +84,74 @@ class TestWindow:
             assert res.params is not None and swc_feasible(*res.params, m)
             with pytest.raises(NoWitnessError):
                 adversarial_sequence(SWC(*res.params), m, 4)
+
+
+class TestZeroCountSkip:
+    """o_swc solves each zero count T - w once, at its shortest window."""
+
+    @pytest.mark.parametrize("e_max", ["1/2", "1", "6/5", "5/2", "10"])
+    def test_matches_an_argmax_that_solves_every_candidate(self, e_max):
+        budget = 1 << 12
+
+        def rate(t, w):
+            if _fits_budget(t, w, budget):
+                return swc_capacity_exact(t, w, state_budget=budget).value, True
+            return _swc_fallback(t, w)
+
+        for k in range(1, 20):
+            m = model(Fraction(k, 20), e_max)
+            expect = _best(m, feasible_swc_candidates(m), rate)
+            got = o_swc(m, state_budget=budget)
+            assert (got.value, got.params, got.method) == (
+                expect.value, expect.params, expect.method
+            ), (k, e_max)
+
+    def test_longer_window_brackets_lie_strictly_below(self):
+        # the certified bracket of (T', T' - z) lies strictly below that of
+        # (T, T - z) for T < T', so no rounding can reorder the two midpoints
+        def bracket(t, w):
+            res = swc_capacity_exact(t, w)
+            return res.value - res.residual / 2, res.value + res.residual / 2
+
+        for t in range(2, 16):
+            for z in range(1, t):
+                lo, _ = bracket(t, t - z)
+                for longer in range(t + 1, 17):
+                    _, hi = bracket(longer, longer - z)
+                    assert hi < lo, (t, longer, z)
+
+    def _solved_windows(self, monkeypatch, *argv):
+        solved = []
+        follower_classes = capacity._follower_classes
+
+        def record(t, w):
+            solved.append((t, w))
+            return follower_classes(t, w)
+
+        monkeypatch.setattr(capacity, "_follower_classes", record)
+        capacity._swc_spectral_cached.cache_clear()
+        assert cli.main(["sweep", *argv]) == 0
+        return solved
+
+    def test_rate_vs_buffer_sweep_solves_one_window_per_zero_count(
+        self, monkeypatch, capsys
+    ):
+        solved = self._solved_windows(
+            monkeypatch,
+            "--vary", "emax", "--b", "3/5", "--from", "0", "--to", "12", "--step", "1/10",
+        )
+        capsys.readouterr()
+        windows = [(3, 2), (5, 3), (8, 5), (10, 6), (13, 8), (15, 9), (18, 11), (20, 12)]
+        assert sorted(solved) == windows
+        assert capacity._swc_spectral_cached.cache_info().misses == len(windows)
+
+    def test_highest_draw_skips_the_longer_one_zero_window(self, monkeypatch, capsys):
+        solved = self._solved_windows(
+            monkeypatch,
+            "--vary", "b", "--emax", "10", "--from", "19/20", "--to", "19/20", "--step", "1/20",
+        )
+        capsys.readouterr()
+        assert solved == [(20, 19)]
 
 
 class TestWindowExplicitLower:
