@@ -42,6 +42,11 @@ _CONVERGENCE_STREAK = 3
 _MAX_POWER_ITER = 200_000
 _MAX_GROWTH_N = 4000
 
+# the longest window a solve accepts: the class keys of _follower_classes and
+# the suffix states of the growth route are int64 bit strings, and a class key
+# sets bit t-1
+_MAX_WINDOW = 63
+
 # the power iteration tests its bracket, and normalizes, on every this-many-th
 # product; a class has at most two successors, so an iterate grows by at most
 # 2^_CHECK_EVERY in between
@@ -148,6 +153,11 @@ def _check_swc_args(t: int, w: int, state_budget: int) -> None:
     if not _fits_budget(t, w, state_budget):
         raise ResourceLimitError(
             f"window length {t} needs 2^{t - 1} states, over the budget of {state_budget}"
+        )
+    if w < t and t > _MAX_WINDOW:
+        raise ResourceLimitError(
+            f"window length {t} is over the limit of {_MAX_WINDOW}: "
+            "its states are keyed by int64 bit strings"
         )
 
 

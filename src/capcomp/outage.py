@@ -6,12 +6,18 @@ predicates directly for partial-charge questions), scans the outage-free
 parameter family for its constraint, and returns the best capacity together
 with the achieving parameters.
 
+With a full buffer, the window optimum depends on E_max only through
+z = floor(E_max / B), and the subblock optimum only through
+z2 = floor(E_max / (2B)) (proofs in o_swc and o_sec).  Each is computed once
+per (B, z) or (B, z2), on the canonical model whose buffer holds exactly
+that many draws, and cached; a rate-vs-buffer sweep thus repeats no scan.
+
 The window-constrained optimum is exact while every candidate's state vector
 fits the budget; larger candidates fall back to the best known lower bound
-and the result is tagged accordingly.  Within the budget each zero count
-T - w is solved once, at its shortest window: a longer window with the same
-zero count has a strictly smaller capacity (proof in o_swc), so it is never
-the argmax and is not solved.
+and the result is tagged accordingly.  Each zero count T - w is solved once,
+at its shortest window within the budget: a longer window with the same zero
+count has a strictly smaller capacity (proof in o_swc), so it is never the
+argmax and is neither solved nor, past the budget, bounded.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import lru_cache
 
 from .bounds import entropy_ceiling, sandwich_bounds, swc_lower_bound
 from .capacity import (
@@ -110,7 +118,15 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     lower bound instead, and the result is then tagged "lower-bound".  Ties go
     to the smallest window.  Each zero count z = T - w is solved only at its
     shortest candidate within the budget; the longer ones with the same z
-    cannot win and are rated zero unsolved.
+    cannot win and are rated zero unsolved, also past the budget.
+
+    Proof that the optimum depends on the model only through (b, z),
+    z = floor(e_max / b).  With e_init = e_max and T - w an integer,
+    (T - w) * b <= e_max holds exactly when T - w <= z.  So the pivot
+    ceil(z / (1 - b)), every candidate weight max(ceil(T * b), T - z), every
+    swc_feasible test, every rate and the ceiling h(max(b, 1/2)) are those
+    of the canonical full-buffer model with e_max = z * b, and _o_swc runs
+    the scan once per (b, z, state_budget).
 
     Proof that a longer window with the same zero count cannot win.  Let
     T' < T share the zero count z.  For z = 0 both rates are zero.  For
@@ -125,20 +141,30 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     admits every shorter window when it admits T, so (T', T' - z) was solved
     first, with a positive rate.  _best keeps the first candidate on ties,
     so rating the longer window zero changes neither the value nor the
-    params, and ties still go to the smallest window.  Fallback candidates
-    are all rated: their bounds are not monotone in T, so skipping one could
-    lower the reported bound.
+    params, and ties still go to the smallest window.  The same holds for a
+    longer window past the budget: its fallback bound is at most
+    C(T, T - z) < C(T', T' - z), a rate already solved exactly, so it can
+    neither win nor make the optimum inexact, and it is rated zero unbounded.
+    A fallback candidate whose zero count has not been solved is rated by
+    its bound: the bounds are not monotone in T, so skipping one could lower
+    the reported bound.
     """
-    model = model.with_full_buffer()
+    return _o_swc(model.b, _zeros(model, 1), state_budget)
+
+
+@lru_cache(maxsize=None)
+def _o_swc(b: Fraction, z: int, state_budget: int) -> OutageResult:
+    """o_swc on the full-buffer model that funds exactly z zeros in a row."""
+    model = EnergyModel(b=b, e_max=z * b, e_init=z * b)
     solved: set[int] = set()
 
     def rate(t: int, w: int) -> tuple[float, bool]:
-        if _fits_budget(t, w, state_budget):
-            if t - w in solved:
-                return 0.0, True
-            solved.add(t - w)
-            return swc_capacity_exact(t, w, state_budget=state_budget).value, True
-        return _swc_fallback(t, w)
+        if t - w in solved:
+            return 0.0, True
+        if not _fits_budget(t, w, state_budget):
+            return _swc_fallback(t, w)
+        solved.add(t - w)
+        return swc_capacity_exact(t, w, state_budget=state_budget).value, True
 
     return _best(model, feasible_swc_candidates(model), rate)
 
@@ -166,8 +192,22 @@ def o_sec(model: EnergyModel) -> OutageResult:
     increments log2(2 - C(L, z2)/S(L)), which do not increase with L; so no
     longer subblock beats L = P (full proof in feasible_sec_candidates).
     Ties go to the smallest length.
+
+    The optimum depends on the model only through (b, z2): with
+    e_init = e_max and L - w an integer, e_max >= 2 (L - w) b holds exactly
+    when L - w <= z2, and then e_init >= (L - w) b holds too.  So the pivot,
+    the candidates, their rates and the ceiling are those of the canonical
+    full-buffer model with e_max = 2 * z2 * b, and _o_sec scans once per
+    (b, z2).
     """
-    model = model.with_full_buffer()
+    return _o_sec(model.b, _zeros(model, 2))
+
+
+@lru_cache(maxsize=None)
+def _o_sec(b: Fraction, z2: int) -> OutageResult:
+    """o_sec on the full-buffer model whose two half buffers each fund z2 zeros."""
+    e_max = 2 * z2 * b
+    model = EnergyModel(b=b, e_max=e_max, e_init=e_max)
     return _best(model, feasible_sec_candidates(model), _sec_rate)
 
 

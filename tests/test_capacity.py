@@ -229,6 +229,13 @@ class TestWindowCapacity:
         with pytest.raises(ResourceLimitError):
             swc_capacity_growth(22, 3, state_budget=1 << 20)
 
+    def test_window_past_the_int64_keys_is_refused(self):
+        # the budget admits T = 64, but its class keys would need bit 63
+        for route in (swc_capacity_exact, swc_capacity_growth):
+            with pytest.raises(ResourceLimitError, match="length 64 is over the limit of 63"):
+                route(64, 63, state_budget=1 << 64)
+        assert swc_capacity_exact(64, 64, state_budget=1 << 64).value == 0.0
+
     def test_unconverged_power_iteration_raises(self, monkeypatch):
         monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)
         # a tolerance no other test uses, so the solve is not a cache hit

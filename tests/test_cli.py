@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from capcomp import ResourceLimitError, capacity, cli, outage
+from capcomp import ResourceLimitError, cli, outage
 
 
 def run(capsys, *argv):
@@ -301,10 +301,20 @@ class TestConfig:
         assert (rc, out) == (1, "")
         assert err == "error: window length 6 needs 2^5 states, over the budget of 8\n"
 
-    def test_unconverged_power_iteration_is_an_error(self, capsys, monkeypatch):
+    def test_window_past_the_int64_keys_is_an_error(self, capsys):
+        rc, out, err = run(
+            capsys,
+            "capacity", "--family", "swc", "--t", "64", "--w", "63",
+            "--state-budget", str(1 << 64),
+        )
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: window length 64 is over the limit of 63: "
+            "its states are keyed by int64 bit strings\n"
+        )
+
+    def test_unconverged_power_iteration_is_an_error(self, capsys, monkeypatch, cold_caches):
         monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)
-        # an earlier test may have cached this solve
-        capacity._swc_spectral_cached.cache_clear()
         rc, out, err = run(capsys, "capacity", "--family", "swc", "--t", "12", "--w", "6")
         assert (rc, out) == (1, "")
         assert err.startswith("error: power iteration for window (12, 6) did not converge")

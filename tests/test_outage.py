@@ -9,6 +9,7 @@ from capcomp import (
     SWC,
     EnergyModel,
     NoWitnessError,
+    ResourceLimitError,
     adversarial_sequence,
     capacity,
     cli,
@@ -20,13 +21,14 @@ from capcomp import (
     o_sec_lower_explicit,
     o_swc,
     o_swc_lower_explicit,
+    outage,
     rll_capacity,
     sec_capacity,
     sec_feasible,
     swc_capacity_exact,
     swc_feasible,
 )
-from capcomp.capacity import _fits_budget
+from capcomp.capacity import DEFAULT_STATE_BUDGET, _fits_budget
 from capcomp.outage import _best, _swc_fallback
 
 B_GRID = ("1/4", "1/2", "3/5", "3/4")
@@ -120,7 +122,9 @@ class TestZeroCountSkip:
                     _, hi = bracket(longer, longer - z)
                     assert hi < lo, (t, longer, z)
 
-    def _solved_windows(self, monkeypatch, *argv):
+    @staticmethod
+    def _solved_windows(monkeypatch, *argv):
+        # callers request cold_caches, so that every solve runs and is seen
         solved = []
         follower_classes = capacity._follower_classes
 
@@ -129,12 +133,11 @@ class TestZeroCountSkip:
             return follower_classes(t, w)
 
         monkeypatch.setattr(capacity, "_follower_classes", record)
-        capacity._swc_spectral_cached.cache_clear()
         assert cli.main(["sweep", *argv]) == 0
         return solved
 
     def test_rate_vs_buffer_sweep_solves_one_window_per_zero_count(
-        self, monkeypatch, capsys
+        self, monkeypatch, capsys, cold_caches
     ):
         solved = self._solved_windows(
             monkeypatch,
@@ -144,14 +147,91 @@ class TestZeroCountSkip:
         windows = [(3, 2), (5, 3), (8, 5), (10, 6), (13, 8), (15, 9), (18, 11), (20, 12)]
         assert sorted(solved) == windows
         assert capacity._swc_spectral_cached.cache_info().misses == len(windows)
+        # 121 rows, but only 21 values of floor(e_max / b) and 11 of
+        # floor(e_max / (2b)): each optimum is computed once per value
+        assert outage._o_swc.cache_info().misses == 21
+        assert outage._o_sec.cache_info().misses == 11
 
-    def test_highest_draw_skips_the_longer_one_zero_window(self, monkeypatch, capsys):
+    def test_highest_draw_skips_the_longer_one_zero_window(
+        self, monkeypatch, capsys, cold_caches
+    ):
         solved = self._solved_windows(
             monkeypatch,
             "--vary", "b", "--emax", "10", "--from", "19/20", "--to", "19/20", "--step", "1/20",
         )
         capsys.readouterr()
         assert solved == [(20, 19)]
+
+    def test_dominated_fallbacks_are_not_bounded(self, monkeypatch, cold_caches):
+        # past the budget, a window whose zero count was solved exactly at a
+        # shorter length can neither win nor make the optimum inexact
+        bounded = []
+
+        def record(t, w):
+            bounded.append((t, w))
+            return _swc_fallback(t, w)
+
+        monkeypatch.setattr(outage, "_swc_fallback", record)
+        m = model("19/20", "10")
+        candidates = feasible_swc_candidates(m)
+        solved = {t - w for t, w in candidates if _fits_budget(t, w, DEFAULT_STATE_BUDGET)}
+        over = [(t, w) for t, w in candidates if not _fits_budget(t, w, DEFAULT_STATE_BUDGET)]
+        res = o_swc(m)
+        assert len(over) == 179
+        assert bounded == [(t, w) for t, w in over if t - w not in solved]
+        assert len(bounded) == 161
+        assert (res.params, res.method) == ((20, 19), "lower-bound")
+
+
+class TestOptimumPerZeroCount:
+    """o_swc and o_sec depend on e_max only through floor(e_max / b) and floor(e_max / (2b))."""
+
+    BUDGET = 1 << 12
+
+    @staticmethod
+    def _same_zero_counts(b, z, shares):
+        # buffers with floor(e_max / (shares * b)) = z, full and half charged
+        low = shares * z * b
+        for e_max in (low, low + shares * b / 3, low + shares * b * Fraction(6, 7)):
+            yield EnergyModel(b=b, e_max=e_max, e_init=e_max)
+            yield EnergyModel(b=b, e_max=e_max, e_init=e_max / 2)
+
+    def test_windows_depend_on_the_zero_count_only(self):
+        def rate(t, w):
+            if _fits_budget(t, w, self.BUDGET):
+                return swc_capacity_exact(t, w, state_budget=self.BUDGET).value, True
+            return _swc_fallback(t, w)
+
+        for k in range(1, 20):
+            b = Fraction(k, 20)
+            for z in range(7):
+                expect = outage._o_swc.__wrapped__(b, z, self.BUDGET)
+                for m in self._same_zero_counts(b, z, 1):
+                    # an argmax that solves every candidate of the model itself
+                    full = m.with_full_buffer()
+                    scan = _best(full, feasible_swc_candidates(full), rate)
+                    assert (scan.value, scan.params, scan.method) == (
+                        expect.value, expect.params, expect.method
+                    ), m
+                    assert o_swc(m, state_budget=self.BUDGET) == expect, m
+
+    def test_subblocks_depend_on_the_zero_count_only(self):
+        for k in range(1, 20):
+            b = Fraction(k, 20)
+            for z2 in range(7):
+                expect = outage._o_sec.__wrapped__(b, z2)
+                for m in self._same_zero_counts(b, z2, 2):
+                    full = m.with_full_buffer()
+                    scan = _best(full, feasible_sec_candidates(full), outage._sec_rate)
+                    assert scan == expect, m
+                    assert o_sec(m) == expect, m
+
+    @pytest.mark.parametrize("optimizer", [o_swc, o_sec])
+    def test_scan_span_limit_is_raised_on_every_call(self, optimizer):
+        m = model("1/1000000", "10")
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="over the limit of 100000"):
+                optimizer(m)
 
 
 class TestWindowExplicitLower:
