@@ -7,13 +7,17 @@ has no closed form; it is the log of the spectral radius of the window
 transfer graph, computed by power iteration on the C(T, w) follower-set
 classes of its 2^(T-1) suffix states and stopped on a certified
 Collatz-Wielandt bracket.  The classes are enumerated directly, so the solve
-allocates only C(T, w)-sized arrays.  An independent growth-rate route
-(log-domain counting DP over all suffix states) is the cross-check.
+allocates only C(T, w)-sized arrays.  One kernel solves a batch of windows
+in one power iteration over the disjoint union of their class graphs, each
+to the same bits as alone; a single window is a batch of one.  An
+independent growth-rate route (log-domain counting DP over all suffix
+states, gathering through a -inf sentinel slot) is the cross-check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,13 +121,15 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _window_tables(t: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Predecessor indices and admissibility masks for the suffix-state graph.
+def _window_tables(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of the two predecessors of each suffix state.
 
     State s encodes the last t-1 bits.  Appending bit b = s & 1 to predecessor
     p completes a t-bit window whose weight is popcount(s) plus the dropped
     leading bit; the two possible predecessors of s are s >> 1 and
-    (s >> 1) + 2^(t-2).
+    (s >> 1) + 2^(t-2).  A predecessor whose window would be too light is
+    replaced by 2^(t-1), one past the last state: a sentinel slot whose
+    log count is -inf.
     """
     states = 1 << (t - 1)
     idx = np.arange(states, dtype=np.int64)
@@ -133,32 +139,33 @@ def _window_tables(t: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         pc += x & 1
         x >>= 1
     p0 = idx >> 1
-    p1 = p0 + (states >> 1)
-    keep0 = pc >= w  # dropped leading bit was 0
-    keep1 = pc + 1 >= w  # dropped leading bit was 1
-    return p0, p1, keep0, keep1
+    # the dropped leading bit was 0, or it was 1
+    return np.where(pc >= w, p0, states), np.where(pc + 1 >= w, p0 + (states >> 1), states)
 
 
 def _fits_budget(t: int, w: int, state_budget: int) -> bool:
-    """Whether a (t, w) window needs no solve (w == t) or its 2^(t-1) states fit the budget.
+    """Whether a (t, w) window can be solved: w == t, or t <= _MAX_WINDOW and 2^(t-1) <= budget.
 
     The spectral solve needs only C(t, w) classes, but the count stays
     2^(t-1): counting classes would solve more windows and change outputs.
+    A window that does not fit is refused by _check_swc_args, and o_swc
+    rates it by its fallback bound instead.
     """
-    return w == t or (1 << (t - 1)) <= state_budget
+    return w == t or (t <= _MAX_WINDOW and 1 << (t - 1) <= state_budget)
 
 
 def _check_swc_args(t: int, w: int, state_budget: int) -> None:
     _check_pair(t, w, "swc")
-    if not _fits_budget(t, w, state_budget):
+    if _fits_budget(t, w, state_budget):
+        return
+    if 1 << (t - 1) > state_budget:
         raise ResourceLimitError(
             f"window length {t} needs 2^{t - 1} states, over the budget of {state_budget}"
         )
-    if w < t and t > _MAX_WINDOW:
-        raise ResourceLimitError(
-            f"window length {t} is over the limit of {_MAX_WINDOW}: "
-            "its states are keyed by int64 bit strings"
-        )
+    raise ResourceLimitError(
+        f"window length {t} is over the limit of {_MAX_WINDOW}: "
+        "its states are keyed by int64 bit strings"
+    )
 
 
 def _popcount_strings(bits: int, k: int) -> np.ndarray:
@@ -215,12 +222,44 @@ def _follower_classes(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return successor(keys & mask, 1), successor(heavy, 0)
 
 
-@lru_cache(maxsize=None)
-def _swc_spectral_cached(t: int, w: int, tol: float) -> tuple[float, float]:
-    """log2 of the spectral radius of the (t, w) window graph, 1 <= w < t.
+def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The successor tables of _follower_classes over the disjoint union of the windows.
 
-    Returns the midpoint and the width of a Collatz-Wielandt bracket on it,
-    both in log2, once the width is under tol.
+    Returns sizes, succ1 and succ0.  Block (0, k) holds the sizes[0, k] =
+    C(t-1, w) popcount-w classes of window k, block (1, k) its sizes[1, k] =
+    C(t-1, w-1) others, and the blocks lie row by row: succ0 covers the
+    leading slice of popcount-w classes, as in _follower_classes.  Each
+    window's tables are moved to their blocks in place and then dropped.
+    """
+    sizes = np.array([[math.comb(t - 1, w - j) for t, w in windows] for j in (0, 1)])
+    first = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    succ1 = np.empty(sizes.sum(), dtype=np.int64)
+    succ0 = np.empty(sizes[0].sum(), dtype=np.int64)
+    for k, (t, w) in enumerate(windows):
+        (heavy, light), size = first[:, k], sizes[0, k]
+        s1, s0 = _follower_classes(t, w)
+        for succ in (s1, s0):
+            # class i of the window lies at heavy + i, or at light + i - size
+            np.add(succ, light - size - heavy, out=succ, where=succ >= size)
+            succ += heavy
+        succ1[heavy : heavy + size] = s1[:size]
+        succ1[light : light + sizes[1, k]] = s1[size:]
+        succ0[heavy : heavy + size] = s0
+    return sizes, succ1, succ0
+
+
+def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[float, float]]:
+    """log2 of the spectral radius of each (t, w) window graph, 1 <= w < t.
+
+    Returns per window the midpoint and the width of a Collatz-Wielandt
+    bracket on it, both in log2, once the width is under tol.  All windows
+    run in one power iteration over the disjoint union of their class
+    graphs, and each drops out of it at its own first closed bracket.  The
+    products, and each window's ratios, bracket and normalization, are the
+    same float operations on the same numbers as in a solve of that window
+    alone, so every (value, width) is too.  Raises ResourceLimitError naming
+    the first window whose bracket is still open after _MAX_POWER_ITER
+    iterations.
 
     Proof that the follower-set quotient has the same spectral radius.  A
     suffix state p (the last t-1 bits) admits bit c iff popcount(p) + c >= w,
@@ -251,26 +290,64 @@ def _swc_spectral_cached(t: int, w: int, tol: float) -> tuple[float, float]:
     last; the bound holds for every positive x, so each evaluated bracket is
     still certified, and those iterates still tend to the Perron vector.
     """
-    succ1, succ0 = _follower_classes(t, w)
-    full = len(succ0)
+    if not windows:
+        return []
+    # the blocks of _class_union, reduced one by one by reduceat at starts
+    sizes, succ1, succ0 = _class_union(windows)
+    starts = np.cumsum(sizes) - sizes.ravel()
+    blocks = list(zip(starts.tolist(), sizes.ravel().tolist()))
+    live = list(range(len(windows)))  # the window of each block column
+    results: list = [None] * len(windows)
+    widths = [math.inf] * len(windows)
     vec = np.ones(len(succ1))
-    width = math.inf
     for n in range(1, _MAX_POWER_ITER + 1):
         nxt = np.take(vec, succ1)
-        nxt[:full] += np.take(vec, succ0)
+        nxt[: len(succ0)] += np.take(vec, succ0)
         if n % _CHECK_EVERY and n < _MAX_POWER_ITER:
             vec = nxt
             continue
         ratio = nxt / vec
-        lo, hi = math.log2(ratio.min()), math.log2(ratio.max())
-        width = hi - lo
-        if width < tol:
-            return 0.5 * (lo + hi), width
-        vec = nxt / nxt.max()
+        lows = np.minimum.reduceat(ratio, starts).tolist()
+        highs = np.maximum.reduceat(ratio, starts).tolist()
+        count = len(live)
+        closed = []
+        for j, k in enumerate(live):
+            lo = math.log2(min(lows[j], lows[count + j]))
+            hi = math.log2(max(highs[j], highs[count + j]))
+            widths[k] = hi - lo
+            if hi - lo < tol:
+                results[k] = 0.5 * (lo + hi), hi - lo
+                closed.append(j)
+        if len(closed) == count:
+            return results
+        if closed:
+            # drop the closed windows' classes and renumber the rest
+            alive = np.ones(count, dtype=bool)
+            alive[closed] = False
+            keep = np.repeat(np.tile(alive, 2), sizes.ravel())
+            index = np.cumsum(keep) - 1
+            succ1, succ0 = index[succ1[keep]], index[succ0[keep[: len(succ0)]]]
+            nxt, sizes = nxt[keep], sizes[:, alive]
+            live = [k for j, k in enumerate(live) if alive[j]]
+            count = len(live)
+            starts = np.cumsum(sizes) - sizes.ravel()
+            blocks = list(zip(starts.tolist(), sizes.ravel().tolist()))
+        tops = np.maximum.reduceat(nxt, starts).tolist()
+        for j, (start, size) in enumerate(blocks):
+            nxt[start : start + size] /= max(tops[j % count], tops[j % count + count])
+        vec = nxt
+    k = live[0]
+    t, w = windows[k]
     raise ResourceLimitError(
         f"power iteration for window ({t}, {w}) did not converge within "
-        f"{_MAX_POWER_ITER} iterations; last bracket width {width:.3g}"
+        f"{_MAX_POWER_ITER} iterations; last bracket width {widths[k]:.3g}"
     )
+
+
+@lru_cache(maxsize=None)
+def _swc_spectral_cached(t: int, w: int, tol: float) -> tuple[float, float]:
+    """_swc_spectral of the one window (t, w)."""
+    return _swc_spectral([(t, w)], tol)[0]
 
 
 def swc_capacity_exact(
@@ -285,7 +362,7 @@ def swc_capacity_exact(
     classes of the 2^(t-1) suffix states, stopped when the Collatz-Wielandt
     bracket min/max (Bx)_i/x_i on the spectral radius is narrower than tol in
     log2.  The value is the bracket's midpoint and residual its width, so
-    the capacity lies within residual/2 of value; _swc_spectral_cached
+    the capacity lies within residual/2 of value; _swc_spectral
     proves the quotient exact and the bracket closing.  The solve allocates
     only C(t, w)-sized arrays; the budget still counts 2^(t-1) suffix states
     only so that every output stays the same.
@@ -297,6 +374,28 @@ def swc_capacity_exact(
         return CapacityResult(value=0.0, method="closed-form")
     value, width = _swc_spectral_cached(t, w, tol)
     return CapacityResult(value=value, method="spectral", residual=width)
+
+
+def swc_capacities_exact(
+    windows: Iterable[tuple[int, int]],
+    state_budget: int = DEFAULT_STATE_BUDGET,
+    tol: float = SPECTRAL_TOL,
+) -> dict[tuple[int, int], CapacityResult]:
+    """swc_capacity_exact of every (t, w) in windows, keyed by window.
+
+    The windows with w < t are solved together in one power iteration
+    (_swc_spectral), uncached; each result equals swc_capacity_exact(t, w,
+    state_budget, tol).  Every window is checked before any work.
+    """
+    windows = sorted(set(windows))
+    for t, w in windows:
+        _check_swc_args(t, w, state_budget)
+    graphs = [(t, w) for t, w in windows if w < t]
+    zero = CapacityResult(value=0.0, method="closed-form")
+    results = {(t, w): zero for t, w in windows if w == t}
+    for window, (value, width) in zip(graphs, _swc_spectral(graphs, tol)):
+        results[window] = CapacityResult(value=value, method="spectral", residual=width)
+    return results
 
 
 def swc_capacity_growth(
@@ -314,9 +413,12 @@ def swc_capacity_growth(
     _check_swc_args(t, w, state_budget)
     if w == t:
         return CapacityResult(value=0.0, method="dp-growth")
-    p0, p1, keep0, keep1 = _window_tables(t, w)
+    idx0, idx1 = _window_tables(t, w)
     neg = -np.inf
-    logs = np.zeros(1 << (t - 1))  # every (t-1)-bit prefix is valid, count 1
+    # every (t-1)-bit prefix is valid, count 1; then the sentinel slot
+    buf = np.zeros((1 << (t - 1)) + 1)
+    buf[-1] = neg
+    logs = buf[:-1]
 
     def log_total(v: np.ndarray) -> float:
         top = v.max()
@@ -329,9 +431,7 @@ def swc_capacity_growth(
     streak = 0
     delta = math.inf
     for n in range(t, _MAX_GROWTH_N + 1):
-        logs = np.logaddexp2(
-            np.where(keep0, logs[p0], neg), np.where(keep1, logs[p1], neg)
-        )
+        np.logaddexp2(buf[idx0], buf[idx1], out=logs)
         cur_total = log_total(logs)
         est = cur_total - prev_total
         prev_total = cur_total

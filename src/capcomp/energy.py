@@ -26,7 +26,10 @@ has two kernels, chosen by the shape of the input:
 * ``_outage_words`` steps an int64 level array over a numpy array of n-bit
   words under a batch of models at once, one bit position per step, for the
   exhaustive verification sweeps: each spec is swept once per length for
-  all the models it is feasible under.
+  all the models it is feasible under.  A sweep of a longer length resumes
+  from the levels of a shorter one, whose words are the prefixes of its
+  words, and steps only the new bits.  It marks outages without clamping a
+  negative level back to zero, and caps the others at E_max.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ RationalLike = Fraction | int | str
 # the longest span a candidate scan may visit: far past the paper's grids (211)
 # and b = 1/200 at e_max = 10 (2,011), whose scans already take tens of seconds
 _MAX_SCAN_SPAN = 100_000
+
+# the words one battery kernel step spans at a time, which bounds its temporaries
+_STEP_WORDS = 1 << 14
 
 # accepted literals: "7", "3/5", "0.6" (at most 12 fractional digits)
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*|\.\d{1,12})?")
@@ -195,35 +201,68 @@ def outage_occurs(bits: str, model: EnergyModel) -> bool:
     return bool(_run(bits, model, stop_at_outage=True)[1])
 
 
-def _outage_words(words: np.ndarray, n: int, models: Sequence[EnergyModel]) -> np.ndarray:
+def _outage_words(
+    words: np.ndarray,
+    n: int,
+    models: Sequence[EnergyModel],
+    parent: tuple[np.ndarray, int, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Whether the battery recursion hits an outage on each n-bit word, per model.
 
-    Returns a bool mask of shape (len(models), len(words)) whose row i is
-    the outage mask under models[i].  Word w stands for the bit string
-    format(w, f"0{n}b"): its first bit is bit n-1.  All words under all
-    models advance together, one bit position per step, in int64 units of
-    1/den as in _run, each model with its own den; after an outage a level
-    is clamped to zero and the run goes on, which leaves the mask unchanged.
-    A step first takes the draw from every level, then adds den where the
-    bit is 1, both in place.  The levels stay in [-draw, cap + den - draw],
-    so the kernel is exact when cap + den < 2^63 for every model, and raises
+    Returns the outage mask and the int64 levels after the last bit, both of
+    shape (len(models), len(words)); row i is the run under models[i].  Word
+    w stands for the bit string format(w, f"0{n}b"): its first bit is bit
+    n-1.  All words under all models advance together, one bit position per
+    step, in units of 1/den as in _run, each model with its own den.  A step
+    takes the draw from every level, adds den where the bit is 1, marks the
+    levels that went negative and caps the rest at cap, all in place.  A
+    level that went negative is not clamped back to zero: its word is
+    already marked, so the mask stays exact, though that level no longer is.
+
+    parent = (pwords, m, outage, levels) is the result of a call at length
+    m < n over the same models: each word's first m bits, words >> (n - m),
+    must be one of the ascending pwords, and the run resumes from that
+    word's mask and levels and steps only the n - m new bits.  A word with
+    no parent raises ValueError.
+
+    The levels stay in [-n*draw, cap + den - draw], so the kernel is exact
+    when cap + den and n*draw are below 2^63 for every model, and raises
     ResourceLimitError naming the first model that fails it, before any work.
     """
     scaled = [model._scaled for model in models]
-    for model, (den, _, cap, _) in zip(models, scaled):
-        if cap + den >= 1 << 63:
+    for model, (den, draw, cap, _) in zip(models, scaled):
+        if max(cap + den, n * draw) >= 1 << 63:
             raise ResourceLimitError(f"scaled battery levels of {model} exceed int64")
     # one int64 column per quantity, so each step broadcasts over the words
     den, draw, cap, start = np.array(scaled, dtype=np.int64).reshape(-1, 4, 1).transpose(1, 0, 2)
-    level = np.repeat(start, len(words), axis=1)
-    outage = np.zeros(level.shape, dtype=bool)
-    for shift in range(n - 1, -1, -1):
-        one = ((words >> shift) & 1).astype(bool)
-        np.subtract(level, draw, out=level)
-        np.add(level, den, out=level, where=one)
-        outage |= level < 0
-        np.clip(level, 0, cap, out=level)
-    return outage
+    m = 0
+    if parent is not None:
+        pwords, m, poutage, plevel = parent
+        # -1 is no word, so a word past the last parent finds no match
+        padded = np.append(pwords, -1)
+    level = np.empty((len(models), len(words)), dtype=np.int64)
+    outage = np.empty(level.shape, dtype=bool)
+    # the run goes through the words a slice at a time, which bounds the
+    # temporaries of the parent lookup and of each step
+    for lo in range(0, len(words), _STEP_WORDS):
+        part = slice(lo, lo + _STEP_WORDS)
+        bits, lv, out = words[part], level[:, part], outage[:, part]
+        if parent is None:
+            lv[...] = start
+            out[...] = False
+        else:
+            heads = bits >> (n - m)
+            idx = np.searchsorted(pwords, heads)
+            if not np.array_equal(padded[idx], heads):
+                raise ValueError(f"the {n}-bit words do not all extend the {m}-bit parent words")
+            lv[...] = plevel[:, idx]
+            out[...] = poutage[:, idx]
+        for shift in range(n - m - 1, -1, -1):
+            np.subtract(lv, draw, out=lv)
+            np.add(lv, den * ((bits >> shift) & 1), out=lv)
+            out |= lv < 0
+            np.minimum(lv, cap, out=lv)
+    return outage, level
 
 
 def rll_feasible(d: int, model: EnergyModel) -> bool:

@@ -114,8 +114,9 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     """Best sliding-window rate with zero outages.
 
     Maximizes the exact window capacity over the outage-free candidate family.
-    Candidates whose state vector exceeds the budget contribute their best
-    lower bound instead, and the result is then tagged "lower-bound".  Ties go
+    Candidates whose state vector exceeds the budget, or whose length is
+    over the solve's limit of 63, contribute their best lower bound instead,
+    and the result is then tagged "lower-bound".  Ties go
     to the smallest window.  Each zero count z = T - w is solved only at its
     shortest candidate within the budget; the longer ones with the same z
     cannot win and are rated zero unsolved, also past the budget.
@@ -135,9 +136,9 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     T'-window: the (T, T - z) shift lies inside the (T', T' - z) shift.  It
     lies strictly inside: ...1 0^z 1^(T'-z) 0 1... is in the T' shift, but a
     T-window holds all z + 1 of its zeros.  The (T', T' - z) class graph is
-    irreducible (proved in _swc_spectral_cached), so its proper subshift has
+    irreducible (proved in _swc_spectral), so its proper subshift has
     strictly smaller entropy (Lind-Marcus, Cor. 4.4.9): C(T, T - z) <
-    C(T', T' - z).  The scan visits T in ascending order, and the budget
+    C(T', T' - z).  The scan visits T in ascending order, and _fits_budget
     admits every shorter window when it admits T, so (T', T' - z) was solved
     first, with a positive rate.  _best keeps the first candidate on ties,
     so rating the longer window zero changes neither the value nor the

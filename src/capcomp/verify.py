@@ -11,9 +11,11 @@ of n-bit words (see constraints): the valid words of each (spec, n) are
 enumerated once and cached, then tested against another family's word rule
 or the batched battery kernel all at once.  The outage suite sweeps each
 spec once per length for all the grid models it is feasible under, in one
-kernel call.  A witness is formatted as a bit string only on failure, and it
-is the first failing word in ascending order, which is the first failing
-string in lexicographic order.
+kernel call, and each length resumes from the battery levels of the length
+before, stepping only the new bits.  The bounds suite solves every window
+it reads in one batched power iteration.  A witness is formatted as a bit
+string only on failure, and it is the first failing word in ascending
+order, which is the first failing string in lexicographic order.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .capacity import (
     rll_capacity,
     sec_capacity,
     sec_one_zero_capacity,
-    swc_capacity_exact,
+    swc_capacities_exact,
     swc_capacity_growth,
 )
 from .constraints import (
@@ -202,15 +204,23 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
     return checks
 
 
+# every window whose exact capacity suite_bounds reads: all t <= 10, which
+# covers its shifted, widened and one-zero windows too, and the scale-ups
+_BOUNDS_WINDOWS = [
+    *((t, w) for t in range(1, 11) for w in range(1, t + 1)),
+    *((t * m, w * m) for t in range(1, 6) for w in range(1, t + 1) for m in (2, 3)),
+]
+
+
 def suite_bounds() -> list[Check]:
+    # one power iteration solves every window the checks read
+    exact = {key: result.value for key, result in swc_capacities_exact(_BOUNDS_WINDOWS).items()}
     checks = []
 
     worst = 0.0
     for t in range(1, 11):
         for w in range(1, t + 1):
-            diff = abs(
-                swc_capacity_exact(t, w).value - swc_capacity_growth(t, w).value
-            )
+            diff = abs(exact[t, w] - swc_capacity_growth(t, w).value)
             worst = max(worst, diff)
     checks.append(
         Check(
@@ -222,7 +232,7 @@ def suite_bounds() -> list[Check]:
 
     worst = 0.0
     for d in range(1, 10):
-        diff = abs(swc_capacity_exact(d + 1, d).value - rll_capacity(d).value)
+        diff = abs(exact[d + 1, d] - rll_capacity(d).value)
         worst = max(worst, diff)
     checks.append(
         Check(
@@ -235,10 +245,10 @@ def suite_bounds() -> list[Check]:
     bad = None
     for t in range(1, 6):
         for w in range(1, t + 1):
-            base = swc_capacity_exact(t, w).value
+            base = exact[t, w]
             for m in range(1, 4):
-                shifted = swc_capacity_exact(t + m, w + m).value
-                scaled = swc_capacity_exact(t * m, w * m).value
+                shifted = exact[t + m, w + m]
+                scaled = exact[t * m, w * m]
                 if shifted > base + SLACK or base > scaled + SLACK:
                     bad = (t, w, m, shifted, base, scaled)
                     break
@@ -253,12 +263,12 @@ def suite_bounds() -> list[Check]:
     bad = None
     for t in range(1, 7):
         for w in range(1, t + 1):
-            base = swc_capacity_exact(t, w).value
+            base = exact[t, w]
             for m in range(1, 4):
-                if w + m <= t and swc_capacity_exact(t, w + m).value > base + SLACK:
+                if w + m <= t and exact[t, w + m] > base + SLACK:
                     bad = (t, w, m, "heavier weight should not raise capacity")
                     break
-                if swc_capacity_exact(t + m, w).value + SLACK < base:
+                if exact[t + m, w] + SLACK < base:
                     bad = (t, w, m, "wider window should not lower capacity")
                     break
     checks.append(
@@ -272,7 +282,7 @@ def suite_bounds() -> list[Check]:
     bad = None
     for t in range(1, 9):
         for w in range(1, t + 1):
-            value = swc_capacity_exact(t, w).value
+            value = exact[t, w]
             lo, hi = sandwich_bounds(t, w)
             if not (lo - SLACK <= value <= hi + SLACK):
                 bad = (t, w, lo, value, hi)
@@ -286,10 +296,7 @@ def suite_bounds() -> list[Check]:
         )
     )
 
-    margins = [
-        sec_one_zero_capacity(t).value - swc_capacity_exact(t, t - 1).value
-        for t in range(2, 9)
-    ]
+    margins = [sec_one_zero_capacity(t).value - exact[t, t - 1] for t in range(2, 9)]
     checks.append(
         Check(
             name="bounds: one-zero subblock strictly beats the window rule, t<=8",
@@ -329,18 +336,28 @@ def _first_outages(
 
     Each length is swept in one battery kernel call over the models that
     have no witness yet; None where no valid sequence of those lengths
-    hits an outage.
+    hits an outage.  The lengths ascend and every family's rule is
+    prefix-closed over them: a valid word minus its last bit (RLL, SWC) or
+    its last subblock (SEC at L, 2L, 3L) is a valid word of the previous
+    length.  So each call resumes from the previous length's levels and
+    steps only the new bits; the kernel checks every word's parent.
     """
     witnesses: list[str | None] = [None] * len(models)
+    open_rows = list(range(len(models)))
+    parent = None
     for n in lengths:
-        open_rows = [i for i, witness in enumerate(witnesses) if witness is None]
         if not open_rows:
             break
         words = _valid(spec, n)
-        marked = _outage_words(words, n, [models[i] for i in open_rows])
+        marked, levels = _outage_words(words, n, [models[i] for i in open_rows], parent)
         for i, row in zip(open_rows, marked):
             if row.any():
                 witnesses[i] = _word_text(int(words[row.argmax()]), n)
+        keep = [j for j, i in enumerate(open_rows) if witnesses[i] is None]
+        if len(keep) < len(open_rows):
+            open_rows = [open_rows[j] for j in keep]
+            marked, levels = marked[keep], levels[keep]
+        parent = (words, n, marked, levels)
     return witnesses
 
 

@@ -24,7 +24,15 @@ from capcomp import (
     swc_feasible,
     swc_lower_bound,
 )
-from capcomp.capacity import SPECTRAL_TOL, _follower_classes, _swc_spectral_cached
+from capcomp.capacity import (
+    SPECTRAL_TOL,
+    _fits_budget,
+    _follower_classes,
+    _swc_spectral,
+    _swc_spectral_cached,
+    _window_tables,
+    swc_capacities_exact,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -230,11 +238,56 @@ class TestWindowCapacity:
             swc_capacity_growth(22, 3, state_budget=1 << 20)
 
     def test_window_past_the_int64_keys_is_refused(self):
-        # the budget admits T = 64, but its class keys would need bit 63
+        # the budget covers its 2^63 states, but its class keys would need bit 63
         for route in (swc_capacity_exact, swc_capacity_growth):
             with pytest.raises(ResourceLimitError, match="length 64 is over the limit of 63"):
                 route(64, 63, state_budget=1 << 64)
+        # and _fits_budget knows the limit, so o_swc bounds such a window instead
+        assert _fits_budget(63, 62, 1 << 62) and not _fits_budget(64, 63, 1 << 64)
         assert swc_capacity_exact(64, 64, state_budget=1 << 64).value == 0.0
+
+    def test_one_batch_equals_each_batch_of_one(self):
+        # the windows close their brackets from 32 to 272 iterations apart
+        windows = [(t, w) for t in range(2, 13) for w in range(1, t)]
+        batch = _swc_spectral(windows, SPECTRAL_TOL)
+        for window, (value, width) in zip(windows, batch):
+            alone = _swc_spectral([window], SPECTRAL_TOL)
+            assert alone == [(value, width)], window
+        exact = swc_capacities_exact([(t, w) for t in range(2, 13) for w in range(1, t + 1)])
+        for (t, w), result in exact.items():
+            assert result == swc_capacity_exact(t, w), (t, w)
+
+    def test_batch_refuses_any_window_before_work(self):
+        with pytest.raises(ResourceLimitError, match="length 22 needs 2"):
+            swc_capacities_exact([(3, 2), (22, 3)])
+
+    def test_unconverged_window_of_a_batch_is_named(self, monkeypatch):
+        # every window but (12, 11) closes its bracket within 64 iterations
+        monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 64)
+        windows = [(2, 1), (3, 2), (12, 11), (4, 3), (12, 3)]
+        with pytest.raises(ResourceLimitError, match=r"\(12, 11\) did not converge within 64"):
+            _swc_spectral(windows, SPECTRAL_TOL)
+        # with two windows still open, the first in batch order is named
+        with pytest.raises(ResourceLimitError, match=r"\(10, 9\) did not converge"):
+            _swc_spectral([(10, 9), *windows], SPECTRAL_TOL)
+        monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 272)
+        assert len(_swc_spectral(windows, SPECTRAL_TOL)) == len(windows)
+
+    def test_growth_sentinel_gathers_the_masked_predecessors(self):
+        # a gather through the -inf slot copies what masking the two
+        # predecessors gives, so every growth step sees the same numbers
+        rng = np.random.default_rng(0)
+        for t in range(2, 11):
+            states = np.arange(1 << (t - 1))
+            pc = np.bitwise_count(states)
+            for w in range(1, t):
+                logs = rng.normal(size=len(states))
+                buf = np.append(logs, -np.inf)
+                idx0, idx1 = _window_tables(t, w)
+                zero = np.where(pc >= w, logs[states >> 1], -np.inf)
+                one = np.where(pc + 1 >= w, logs[(states >> 1) + len(states) // 2], -np.inf)
+                np.testing.assert_array_equal(buf[idx0], zero)
+                np.testing.assert_array_equal(buf[idx1], one)
 
     def test_unconverged_power_iteration_raises(self, monkeypatch):
         monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)

@@ -2,10 +2,14 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from capcomp import ResourceLimitError, cli, outage
+
+# recorded command outputs
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -272,6 +276,12 @@ class TestVerify:
         assert checks and all(c["passed"] for c in checks)
         assert {"name", "passed", "detail"} <= set(checks[0])
 
+    def test_all_suites_print_the_recorded_json(self, capsys):
+        # a faster kernel or solve must print these bytes
+        rc, out, err = run(capsys, "verify", "--suite", "all", "--json", "--max-n", "12")
+        assert (rc, err) == (0, "")
+        assert out == (DATA / "verify_all_max_n_12.json").read_text()
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -312,6 +322,26 @@ class TestConfig:
             "error: window length 64 is over the limit of 63: "
             "its states are keyed by int64 bit strings\n"
         )
+
+    def test_budget_past_the_int64_keys_bounds_the_long_windows(
+        self, capsys, monkeypatch, cold_caches
+    ):
+        # the budget covers 2^65 states, but windows from T = 64 on are bounded
+        bounded = []
+
+        def record(t, w):
+            bounded.append(t)
+            return fallback(t, w)
+
+        fallback = outage._swc_fallback
+        monkeypatch.setattr(outage, "_swc_fallback", record)
+        budget = str(46116860184273879040)
+        rc, out, err = run(
+            capsys, "outage", "--family", "swc", "--b", "1/100", "--emax", "1",
+            "--state-budget", budget,
+        )
+        assert (rc, out, err) == (0, "1.000000 (T=98, w=1) [lower-bound]\n", "")
+        assert min(bounded) == 64
 
     def test_unconverged_power_iteration_is_an_error(self, capsys, monkeypatch, cold_caches):
         monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)

@@ -21,8 +21,9 @@ from capcomp import (
     simulate,
     swc_feasible,
 )
-from capcomp.energy import _outage_words
-from capcomp.verify import MODEL_B_GRID, MODEL_EMAX_GRID
+from capcomp.constraints import SWC, _words
+from capcomp.energy import _outage_words, _run
+from capcomp.verify import _OUTAGE_GRID, MODEL_B_GRID, MODEL_EMAX_GRID
 
 
 def model(b, e_max, e_init=None):
@@ -156,7 +157,7 @@ class TestOutageWords:
         full = Fraction(e_max)
         models = [EnergyModel.make(b, e_max, e_init) for e_init in (0, full / 2, full)]
         for n in range(11):
-            marked = _outage_words(np.arange(1 << n, dtype=np.int64), n, models)
+            marked, _ = _outage_words(np.arange(1 << n, dtype=np.int64), n, models)
             for m, row in zip(models, marked):
                 assert row.tolist() == string_outages(m, n), (m, n)
 
@@ -164,17 +165,63 @@ class TestOutageWords:
         models = grid_models()
         assert len(models) == 72
         for n in range(11):
-            marked = _outage_words(np.arange(1 << n, dtype=np.int64), n, models)
-            assert marked.shape == (72, 1 << n)
+            marked, levels = _outage_words(np.arange(1 << n, dtype=np.int64), n, models)
+            assert marked.shape == levels.shape == (72, 1 << n)
             for m, row in zip(models, marked):
                 assert row.tolist() == string_outages(m, n), (m, n)
 
     def test_each_row_is_the_one_model_call(self):
         models = grid_models()[::-1]
         words = np.arange(1 << 10, dtype=np.int64)
-        marked = _outage_words(words, 10, models)
-        for m, row in zip(models, marked):
-            np.testing.assert_array_equal(row, _outage_words(words, 10, [m])[0])
+        marked, levels = _outage_words(words, 10, models)
+        for m, row, level in zip(models, marked, levels):
+            alone, alone_level = _outage_words(words, 10, [m])
+            np.testing.assert_array_equal(row, alone[0])
+            np.testing.assert_array_equal(level, alone_level[0])
+
+    def test_levels_of_unmarked_words_are_the_scaled_levels(self):
+        models = grid_models()
+        for n in range(9):
+            marked, levels = _outage_words(np.arange(1 << n, dtype=np.int64), n, models)
+            for m, row, level in zip(models, marked, levels):
+                for word in np.flatnonzero(~row).tolist():
+                    bits = format(word, f"0{n}b") if n else ""
+                    assert level[word] == _run(bits, m, stop_at_outage=False)[0][-1], (m, bits)
+
+    @pytest.mark.parametrize(
+        "specs, lengths", _OUTAGE_GRID, ids=[specs[0].family for specs, _ in _OUTAGE_GRID]
+    )
+    def test_continued_run_equals_the_run_from_scratch(self, specs, lengths, monkeypatch):
+        # every verify grid model, feasible or not, so that outages carry over
+        models = [EnergyModel.make(b, e_max) for b in MODEL_B_GRID for e_max in MODEL_EMAX_GRID]
+        carried = False
+        for spec in specs:
+            parent = None
+            for n in lengths(spec, 12):
+                words = _words(spec, n)
+                scratch = _outage_words(words, n, models)
+                with monkeypatch.context() as patch:
+                    # slices of 1000 words, the last one short, each with its own parents
+                    patch.setattr("capcomp.energy._STEP_WORDS", 1000)
+                    continued = _outage_words(words, n, models, parent)
+                for got, want in zip(continued, scratch):
+                    np.testing.assert_array_equal(got, want, err_msg=f"{spec} n={n}")
+                carried = carried or (parent is not None and parent[2].any())
+                parent = (words, n, *continued)
+        assert carried
+
+    def test_words_that_do_not_extend_the_parents_raise(self):
+        models = [model("1/2", "1")]
+        spec = SWC(3, 2)
+        parent = (_words(spec, 3), 3, *_outage_words(_words(spec, 3), 3, models))
+        with pytest.raises(ValueError, match="4-bit words do not all extend the 3-bit parent"):
+            _outage_words(np.arange(16, dtype=np.int64), 4, models, parent)
+        # a word past the last parent, and no parents at all
+        for pwords in ([3, 5], []):
+            pwords = np.array(pwords, dtype=np.int64)
+            parent = (pwords, 3, *_outage_words(pwords, 3, models))
+            with pytest.raises(ValueError, match="do not all extend"):
+                _outage_words(np.array([13], dtype=np.int64), 4, models, parent)
 
     def test_refuses_levels_past_int64(self):
         m = model("1/2", str(1 << 62))
@@ -187,6 +234,13 @@ class TestOutageWords:
         with pytest.raises(ResourceLimitError, match="exceed int64") as exc:
             _outage_words(np.arange(4, dtype=np.int64), 2, batch)
         assert str(exc.value) == f"scaled battery levels of {big} exceed int64"
+
+    def test_refuses_an_unclamped_floor_past_int64(self):
+        # cap + den is under 2^63, but two draws of 2^62 fall below -2^63 + 1
+        m = model(f"{1 << 62}/{(1 << 62) + 1}", "0")
+        _outage_words(np.arange(2, dtype=np.int64), 1, [m])
+        with pytest.raises(ResourceLimitError, match="exceed int64"):
+            _outage_words(np.arange(4, dtype=np.int64), 2, [m])
 
 
 class TestFeasibility:
