@@ -9,7 +9,8 @@ classes of its 2^(T-1) suffix states and stopped on a certified
 Collatz-Wielandt bracket.  The classes are enumerated directly, so the solve
 allocates only C(T, w)-sized arrays.  One kernel solves a batch of windows
 in one power iteration over the disjoint union of their class graphs, each
-to the same bits as alone; a single window is a batch of one.  An
+to the same bits as alone; a single window is a batch of one, and every
+answer is kept for the process, so no window is solved twice.  An
 independent growth-rate route (log-domain counting DP over all suffix
 states, gathering through a -inf sentinel slot) is the cross-check.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,15 +129,12 @@ def _window_tables(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     leading bit; the two possible predecessors of s are s >> 1 and
     (s >> 1) + 2^(t-2).  A predecessor whose window would be too light is
     replaced by 2^(t-1), one past the last state: a sentinel slot whose
-    log count is -inf.
+    log count is -inf.  SWC._count runs its exact count on the same tables,
+    with a sentinel count of 0.
     """
     states = 1 << (t - 1)
     idx = np.arange(states, dtype=np.int64)
-    pc = np.zeros(states, dtype=np.int64)
-    x = idx.copy()
-    while x.any():
-        pc += x & 1
-        x >>= 1
+    pc = np.bitwise_count(idx)
     p0 = idx >> 1
     # the dropped leading bit was 0, or it was 1
     return np.where(pc >= w, p0, states), np.where(pc + 1 >= w, p0 + (states >> 1), states)
@@ -344,10 +341,9 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     )
 
 
-@lru_cache(maxsize=None)
-def _swc_spectral_cached(t: int, w: int, tol: float) -> tuple[float, float]:
-    """_swc_spectral of the one window (t, w)."""
-    return _swc_spectral([(t, w)], tol)[0]
+# (t, w, tol) -> (value, width) of every window _swc_spectral has solved in
+# this process
+_SPECTRAL: dict[tuple[int, int, float], tuple[float, float]] = {}
 
 
 def swc_capacity_exact(
@@ -367,13 +363,10 @@ def swc_capacity_exact(
     only C(t, w)-sized arrays; the budget still counts 2^(t-1) suffix states
     only so that every output stays the same.
     Raises ResourceLimitError when the bracket is still wider than tol after
-    _MAX_POWER_ITER iterations.
+    _MAX_POWER_ITER iterations.  A batch of one of swc_capacities_exact, so
+    each window is solved once per process and tol.
     """
-    _check_swc_args(t, w, state_budget)
-    if w == t:
-        return CapacityResult(value=0.0, method="closed-form")
-    value, width = _swc_spectral_cached(t, w, tol)
-    return CapacityResult(value=value, method="spectral", residual=width)
+    return swc_capacities_exact([(t, w)], state_budget, tol)[t, w]
 
 
 def swc_capacities_exact(
@@ -383,18 +376,25 @@ def swc_capacities_exact(
 ) -> dict[tuple[int, int], CapacityResult]:
     """swc_capacity_exact of every (t, w) in windows, keyed by window.
 
-    The windows with w < t are solved together in one power iteration
-    (_swc_spectral), uncached; each result equals swc_capacity_exact(t, w,
-    state_budget, tol).  Every window is checked before any work.
+    Every window is checked before any work.  The windows with w < t that
+    no earlier call has solved at this tol are then solved together in one
+    power iteration (_swc_spectral) and kept in _SPECTRAL; a window solves
+    to the same bits in any batch, so a kept answer is the one a fresh solve
+    would give.
     """
     windows = sorted(set(windows))
     for t, w in windows:
         _check_swc_args(t, w, state_budget)
-    graphs = [(t, w) for t, w in windows if w < t]
-    zero = CapacityResult(value=0.0, method="closed-form")
-    results = {(t, w): zero for t, w in windows if w == t}
-    for window, (value, width) in zip(graphs, _swc_spectral(graphs, tol)):
-        results[window] = CapacityResult(value=value, method="spectral", residual=width)
+    todo = [(t, w) for t, w in windows if w < t and (t, w, tol) not in _SPECTRAL]
+    for (t, w), solved in zip(todo, _swc_spectral(todo, tol)):
+        _SPECTRAL[t, w, tol] = solved
+    results = {}
+    for t, w in windows:
+        if w == t:
+            results[t, w] = CapacityResult(value=0.0, method="closed-form")
+        else:
+            value, width = _SPECTRAL[t, w, tol]
+            results[t, w] = CapacityResult(value=value, method="spectral", residual=width)
     return results
 
 

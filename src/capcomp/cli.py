@@ -47,13 +47,6 @@ def _outage_text(result: outage.OutageResult, family: str) -> str:
     return f"{result.value:.6f} ({params}){tag}"
 
 
-def _result_dict(result) -> dict:
-    record = dataclasses.asdict(result)
-    if "params" in record and record["params"] is not None:
-        record["params"] = list(record["params"])
-    return record
-
-
 def _swc_capacity(spec: constraints.SWC, args: argparse.Namespace):
     route = capacity.swc_capacity_growth if args.growth else capacity.swc_capacity_exact
     return route(spec.t, spec.w, state_budget=args.state_budget)
@@ -76,7 +69,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         spec = constraints.FAMILIES[args.family].from_flags(vars(args))
         res = _CAPACITY[args.family](spec, args)
     if args.json:
-        print(json.dumps(_result_dict(res)))
+        print(json.dumps(res, default=dataclasses.asdict))
     else:
         print(f"{res.value:.6f}")
     return 0
@@ -97,11 +90,7 @@ def cmd_outage(args: argparse.Namespace) -> int:
     if args.family == "all":
         report = outage.gap_report(model, state_budget=args.state_budget)
         if args.json:
-            record = {
-                key: _result_dict(val) if isinstance(val, outage.OutageResult) else val
-                for key, val in report.items()
-            }
-            print(json.dumps(record))
+            print(json.dumps(report, default=dataclasses.asdict))
         else:
             for family in constraints.FAMILIES:
                 print(f"o_{family}: {_outage_text(report[f'o_{family}'], family)}")
@@ -113,7 +102,7 @@ def cmd_outage(args: argparse.Namespace) -> int:
         return 0
     res = _OPTIMIZERS[args.family](model, args.state_budget)
     if args.json:
-        print(json.dumps(_result_dict(res)))
+        print(json.dumps(res, default=dataclasses.asdict))
     else:
         print(_outage_text(res, args.family))
     return 0
@@ -208,10 +197,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = verify.run_suite(args.suite, max_n=args.max_n, reps_cap=args.reps_cap)
+    checks = verify.run_suite(args.suite, max_n=args.max_n)
     failed = [c for c in checks if not c.passed]
     if args.json:
-        print(json.dumps([dataclasses.asdict(c) for c in checks]))
+        print(json.dumps(checks, default=dataclasses.asdict))
     else:
         for c in checks:
             if c.passed:
@@ -280,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["counts", "equivalence", "bounds", "outage", "all"],
     )
     p.add_argument("--max-n", type=int, help="length cap for enumeration-backed suites")
-    p.add_argument("--reps-cap", type=int, help="witness search cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -32,12 +32,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from .capacity import DEFAULT_STATE_BUDGET, _check_swc_args
+from .capacity import DEFAULT_STATE_BUDGET, _check_swc_args, _window_tables
 from .energy import EnergyModel, _check_bits, rll_feasible, sec_feasible, swc_feasible
 from .errors import NoWitnessError, ResourceLimitError, _check_pair
 
 # Exhaustive enumeration refuses lengths above this many bits.
 DEFAULT_ENUM_LIMIT = 24
+
+# the longest witness adversarial_sequence builds: verify's witness search
+# reaches 49,152 bits, and the simulate command peaks at about 120 bytes per
+# witness bit (96 MB over its baseline at 8 * 10^5 bits)
+_MAX_WITNESS_BITS = 1 << 20
 
 
 class _Family:
@@ -164,18 +169,14 @@ class SWC(_Family):
         if w == t:
             return 1  # every window full: only the all-ones sequence
         _check_swc_args(t, w, DEFAULT_STATE_BUDGET)
-        states = 1 << (t - 1)
-        half = states >> 1
-        pc = [bin(s).count("1") for s in range(states)]
+        # the growth route's predecessor tables, whose too-light predecessors
+        # gather from a sentinel slot of count 0
+        idx0, idx1 = (idx.tolist() for idx in _window_tables(t, w))
         # counts[s]: valid sequences whose last t-1 bits spell s; at length t-1
         # every prefix is still valid
-        counts = [1] * states
+        counts = [1] * len(idx0) + [0]
         for _ in range(t - 1, n):
-            counts = [
-                (counts[s >> 1] if pc[s] >= w else 0)
-                + (counts[(s >> 1) + half] if pc[s] + 1 >= w else 0)
-                for s in range(states)
-            ]
+            counts[:-1] = [counts[i] + counts[j] for i, j in zip(idx0, idx1)]
         return sum(counts)
 
     def _feasible(self, model: EnergyModel) -> bool:
@@ -316,10 +317,17 @@ def adversarial_sequence(
     fails: too-low starting charge is attacked zeros-first, a too-low weight
     or buffer is attacked ones-first so harvested energy overflows before the
     zeros arrive.  Raises NoWitnessError when every valid sequence is
-    outage-free, since no witness can exist.
+    outage-free, since no witness can exist, and ResourceLimitError when the
+    sequence would be longer than _MAX_WITNESS_BITS.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if spec._feasible(model):
         raise NoWitnessError(f"{spec} avoids outage under {model}")
-    return spec._witness(model) * repetitions
+    period = spec._witness(model)
+    if len(period) * repetitions > _MAX_WITNESS_BITS:
+        raise ResourceLimitError(
+            f"a witness of {repetitions} repetitions of {len(period)} bits is over "
+            f"the limit of {_MAX_WITNESS_BITS} bits"
+        )
+    return period * repetitions

@@ -1,7 +1,8 @@
 """Self-verification suites pitting independent routes against each other.
 
 counts:       integer recurrences vs brute-force enumeration, and the
-              per-subblock product rule.
+              per-subblock product rule.  The window recurrence runs on the
+              growth route's predecessor tables, so this checks them too.
 equivalence:  run-length vs window set identities and containments.
 bounds:       spectral vs growth-rate agreement and every capacity inequality.
 outage:       feasibility conditions vs exact simulation, both directions.
@@ -12,10 +13,15 @@ enumerated once and cached, then tested against another family's word rule
 or the batched battery kernel all at once.  The outage suite sweeps each
 spec once per length for all the grid models it is feasible under, in one
 kernel call, and each length resumes from the battery levels of the length
-before, stepping only the new bits.  The bounds suite solves every window
-it reads in one batched power iteration.  A witness is formatted as a bit
-string only on failure, and it is the first failing word in ascending
-order, which is the first failing string in lexicographic order.
+before, stepping only the new bits.  An infeasible setup's draining
+witness is searched at 1, 2, 4, ... up to REPS_CAP repetitions.  The bounds
+suite solves every window it reads in one batched power iteration.  A
+witness is formatted as a bit string only on failure, and it is the first
+failing word in ascending order, which is the first failing string in
+lexicographic order.
+
+max_n, the length cap of the enumeration-backed suites, is the one setting
+of run_suite; REPS_CAP and the other limits are module constants.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ MODEL_EMAX_GRID = ("1/4", "1/2", "1", "3/2", "2", "3")
 
 SLACK = 1e-8
 
-# sequence-length cap of the enumeration-backed suites, and witness search cap
+# default sequence-length cap of the enumeration-backed suites, and the most
+# repetitions of a draining witness the outage suite tries
 MAX_N = 16
 REPS_CAP = 4096
 # largest run length, window length and subblock length the suites try
@@ -361,9 +368,9 @@ def _first_outages(
     return witnesses
 
 
-def _find_outage_witness(spec: ConstraintSpec, model: EnergyModel, reps_cap: int) -> str | None:
+def _find_outage_witness(spec: ConstraintSpec, model: EnergyModel) -> str | None:
     reps = 1
-    while reps <= reps_cap:
+    while reps <= REPS_CAP:
         s = adversarial_sequence(spec, model, reps)
         if outage_occurs(s, model):
             return s
@@ -386,7 +393,7 @@ _OUTAGE_GRID = (
 _MIN_MAX_N = max(MAX_D + 1, MAX_T, *(wide.t for wide, _ in _NESTED_WINDOWS))
 
 
-def suite_outage(max_n: int = MAX_N, reps_cap: int = REPS_CAP) -> list[Check]:
+def suite_outage(max_n: int = MAX_N) -> list[Check]:
     """Feasibility conditions against simulation, in both directions.
 
     Feasible setups are sweep-checked over every valid sequence long enough
@@ -417,7 +424,7 @@ def suite_outage(max_n: int = MAX_N, reps_cap: int = REPS_CAP) -> list[Check]:
                     if witness is not None:
                         bad = f"feasible {_spec_text(spec)} outages on {witness}"
                         break
-                elif _find_outage_witness(spec, model, reps_cap) is None:
+                elif _find_outage_witness(spec, model) is None:
                     bad = f"infeasible {_spec_text(spec)} produced no outage witness"
                     break
             checks.append(
@@ -438,19 +445,18 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_n: int | None = None, reps_cap: int | None = None) -> list[Check]:
+def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     """Run one named suite, or all of them in order.
 
     max_n caps the sequence length of the counts, equivalence and outage
-    suites, and reps_cap the outage suite's witness search; None keeps
-    MAX_N and REPS_CAP.  A max_n below the longest spec a length sweep
-    covers, or a reps_cap below 1, raises ValueError: the suites would pass
-    on an empty range or fail for want of a single witness try.
+    suites; None keeps MAX_N.  It is the one setting: the witness search and
+    every other limit are module constants.  A max_n below the longest spec
+    a length sweep covers raises ValueError, since those suites would pass
+    on an empty range.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     max_n = MAX_N if max_n is None else max_n
-    reps_cap = REPS_CAP if reps_cap is None else reps_cap
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     if max_n < _MIN_MAX_N:
@@ -458,11 +464,8 @@ def run_suite(name: str, max_n: int | None = None, reps_cap: int | None = None) 
             f"max_n must be >= {_MIN_MAX_N} so that every length sweep covers a length, "
             f"got {max_n}"
         )
-    if reps_cap < 1:
-        raise ValueError(f"reps_cap must be >= 1, got {reps_cap}")
-    args = {"counts": (max_n,), "equivalence": (max_n,), "bounds": (), "outage": (max_n, reps_cap)}
     checks = []
     for key, suite in SUITES.items():
         if name in ("all", key):
-            checks.extend(suite(*args[key]))
+            checks.extend(suite() if key == "bounds" else suite(max_n))
     return checks

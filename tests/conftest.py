@@ -13,5 +13,6 @@ def cold_caches():
     may have left the answer they need in a cache, so the work under test
     would not run.
     """
-    for cached in (capacity._swc_spectral_cached, outage._o_swc, outage._o_sec):
+    capacity._SPECTRAL.clear()
+    for cached in (outage._o_swc, outage._o_sec):
         cached.cache_clear()

@@ -24,12 +24,12 @@ from capcomp import (
     swc_feasible,
     swc_lower_bound,
 )
+from capcomp import capacity
 from capcomp.capacity import (
     SPECTRAL_TOL,
     _fits_budget,
     _follower_classes,
     _swc_spectral,
-    _swc_spectral_cached,
     _window_tables,
     swc_capacities_exact,
 )
@@ -186,15 +186,14 @@ class TestWindowCapacity:
                 ref1, ref0 = follower_classes_over_all_states(t, w)
                 assert succ1.tolist() == ref1 and succ0.tolist() == ref0, (t, w)
 
-    def test_solve_allocates_no_suffix_state_array(self):
-        # one int64 array over the 2^20 suffix states of (21, 20) is 8 MB;
-        # a tolerance no other test uses, so the solve is not a cache hit
+    def test_solve_allocates_no_suffix_state_array(self, cold_caches):
+        # one int64 array over the 2^20 suffix states of (21, 20) is 8 MB
         tracemalloc.start()
         try:
             _follower_classes(21, 20)
             classes_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            _swc_spectral_cached(21, 20, 3e-10)
+            swc_capacity_exact(21, 20)
             solve_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,16 +245,36 @@ class TestWindowCapacity:
         assert _fits_budget(63, 62, 1 << 62) and not _fits_budget(64, 63, 1 << 64)
         assert swc_capacity_exact(64, 64, state_budget=1 << 64).value == 0.0
 
-    def test_one_batch_equals_each_batch_of_one(self):
+    def test_one_batch_equals_each_batch_of_one(self, cold_caches):
         # the windows close their brackets from 32 to 272 iterations apart
         windows = [(t, w) for t in range(2, 13) for w in range(1, t)]
         batch = _swc_spectral(windows, SPECTRAL_TOL)
         for window, (value, width) in zip(windows, batch):
             alone = _swc_spectral([window], SPECTRAL_TOL)
             assert alone == [(value, width)], window
-        exact = swc_capacities_exact([(t, w) for t in range(2, 13) for w in range(1, t + 1)])
-        for (t, w), result in exact.items():
-            assert result == swc_capacity_exact(t, w), (t, w)
+        # each window solved alone, then all of them in one fresh batch
+        windows = [(t, w) for t in range(2, 13) for w in range(1, t + 1)]
+        alone = {(t, w): swc_capacity_exact(t, w) for t, w in windows}
+        capacity._SPECTRAL.clear()
+        assert swc_capacities_exact(windows) == alone
+
+    def test_a_window_is_solved_once_whatever_the_entry(self, monkeypatch, cold_caches):
+        solved = []
+        follower_classes = capacity._follower_classes
+
+        def record(t, w):
+            solved.append((t, w))
+            return follower_classes(t, w)
+
+        monkeypatch.setattr(capacity, "_follower_classes", record)
+        alone = swc_capacity_exact(9, 4)
+        batch = swc_capacities_exact([(7, 3), (9, 4), (9, 9)])
+        assert solved == [(9, 4), (7, 3)]
+        assert batch[9, 4] == alone
+        assert swc_capacity_exact(7, 3) == batch[7, 3]
+        # another tolerance is another solve
+        swc_capacity_exact(9, 4, tol=1e-9)
+        assert solved == [(9, 4), (7, 3), (9, 4)]
 
     def test_batch_refuses_any_window_before_work(self):
         with pytest.raises(ResourceLimitError, match="length 22 needs 2"):
@@ -289,11 +308,10 @@ class TestWindowCapacity:
                 np.testing.assert_array_equal(buf[idx0], zero)
                 np.testing.assert_array_equal(buf[idx1], one)
 
-    def test_unconverged_power_iteration_raises(self, monkeypatch):
+    def test_unconverged_power_iteration_raises(self, monkeypatch, cold_caches):
         monkeypatch.setattr("capcomp.capacity._MAX_POWER_ITER", 2)
-        # a tolerance no other test uses, so the solve is not a cache hit
         with pytest.raises(ResourceLimitError, match=r"\(12, 6\).*last bracket width \d"):
-            swc_capacity_exact(12, 6, tol=1e-13)
+            swc_capacity_exact(12, 6)
 
     def test_growth_nmax_flags_residual(self, monkeypatch):
         monkeypatch.setattr("capcomp.capacity._MAX_GROWTH_N", 12)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output formats, exit codes, the state budget flag."""
 
+import argparse
 import json
 import time
 from pathlib import Path
@@ -189,6 +190,21 @@ class TestSimulate:
         assert (rc, out) == (1, "")
         assert err == "error: simulate needs --bits, or --adversarial with a constraint family\n"
 
+    def test_oversized_witness_is_refused_before_it_is_built(self, capsys):
+        # 7e7 bits would take gigabytes to build and trace
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys,
+            "simulate", "--b", "3/5", "--emax", "1/2",
+            "--family", "rll", "--d", "1", "--adversarial", "--reps", "35000000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: a witness of 35000000 repetitions of 2 bits is over "
+            "the limit of 1048576 bits\n"
+        )
+
 
 class TestSweep:
     ARGS = ("sweep", "--vary", "emax", "--b", "3/5",
@@ -286,8 +302,14 @@ class TestVerify:
         "flags,message",
         [
             (["--suite", "counts", "--max-n", "-1"], "max_n must be >= 0, got -1"),
-            (["--suite", "outage", "--reps-cap", "0"], "reps_cap must be >= 1, got 0"),
-            (["--suite", "outage", "--reps-cap", "-5"], "reps_cap must be >= 1, got -5"),
+            (
+                ["--suite", "all", "--max-n", "5"],
+                "max_n must be >= 6 so that every length sweep covers a length, got 5",
+            ),
+            (
+                ["--suite", "counts", "--max-n", "5"],
+                "max_n must be >= 6 so that every length sweep covers a length, got 5",
+            ),
             (
                 ["--suite", "outage", "--max-n", "1"],
                 "max_n must be >= 6 so that every length sweep covers a length, got 1",
@@ -303,7 +325,26 @@ class TestVerify:
         assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+# every subcommand's flags: a new setting needs a test and a README line
+SUBCOMMAND_FLAGS = {
+    "capacity": "--d --family --growth --help --json --l --state-budget --t --w -h",
+    "outage": "--b --emax --family --help --json --state-budget -h",
+    "sweep": "--b --emax --from --help --out --state-budget --step --to --vary -h",
+    "simulate": "--adversarial --b --bits --d --einit --emax --family --help --l --reps --t --w -h",
+    "verify": "--help --json --max-n --suite -h",
+}
+
+
 class TestConfig:
+    def test_every_subcommand_flag_is_pinned(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: sorted(o for a in sub._actions for o in a.option_strings)
+            for name, sub in commands.choices.items()
+        }
+        assert flags == {name: text.split() for name, text in SUBCOMMAND_FLAGS.items()}
+
     def test_state_budget_flag_lowers_the_budget(self, capsys):
         rc, out, err = run(
             capsys, "capacity", "--family", "swc", "--t", "6", "--w", "3", "--state-budget", "8"
@@ -355,6 +396,7 @@ class TestConfig:
         [
             ["--config", "capcomp.cfg", "capacity", "--family", "rll", "--d", "2"],
             ["capacity", "--family", "swc", "--t", "6", "--w", "4", "--growth", "--nmax", "12"],
+            ["verify", "--suite", "outage", "--reps-cap", "4096"],
         ],
     )
     def test_removed_settings_are_rejected(self, capsys, argv):

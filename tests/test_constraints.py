@@ -19,6 +19,7 @@ from capcomp import (
     sets_equal,
     simulate,
 )
+from capcomp.constraints import _MAX_WITNESS_BITS, _words
 from capcomp.verify import MAX_D, MAX_L, MAX_T
 
 # every spec the verification suites enumerate
@@ -147,6 +148,15 @@ class TestCountExact:
         else:
             assert count_exact(spec, n) == len(enumerate_sequences(spec, n))
 
+    def test_every_window_count_matches_the_word_rule(self):
+        # the recurrence runs on the growth route's predecessor tables, so
+        # this checks those tables against brute force as well
+        for t in range(1, 9):
+            for w in range(1, t + 1):
+                spec = SWC(t, w)
+                for n in range(15):
+                    assert count_exact(spec, n) == len(_words(spec, n)), (t, w, n)
+
     def test_state_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             count_exact(SWC(22, 3), 30)
@@ -203,6 +213,16 @@ class TestAdversarial:
             adversarial_sequence(RLL(2), m, 4)
         with pytest.raises(NoWitnessError):
             adversarial_sequence(SWC(3, 3), m, 4)
+
+    def test_witness_length_is_capped(self):
+        # a buffer below one draw makes every family infeasible
+        m = EnergyModel.make("3/5", "1/2")
+        assert adversarial_sequence(RLL(1), m, _MAX_WITNESS_BITS // 2) == "01" * (1 << 19)
+        # 17 * 61681 = 2^20 + 1: one bit over the cap
+        assert 17 * 61681 == _MAX_WITNESS_BITS + 1
+        with pytest.raises(ResourceLimitError, match="61681 repetitions of 17 bits"):
+            adversarial_sequence(SWC(17, 1), m, 61681)
+        assert len(adversarial_sequence(SWC(17, 1), m, 61680)) == 17 * 61680
 
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ValueError):
