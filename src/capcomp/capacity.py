@@ -1,18 +1,20 @@
 """Noiseless capacities of the three constraint families.
 
 Run-length capacity comes from the largest real root of the characteristic
-polynomial X^(d+1) - X^d - 1, found by bisection.  Subblock capacity is a
-closed form over an exact big-integer binomial sum.  Sliding-window capacity
-has no closed form; it is the log of the spectral radius of the window
-transfer graph, computed by power iteration on the C(T, w) follower-set
-classes of its 2^(T-1) suffix states and stopped on a certified
-Collatz-Wielandt bracket.  The classes are enumerated directly, so the solve
-allocates only C(T, w)-sized arrays.  One kernel solves a batch of windows
-in one power iteration over the disjoint union of their class graphs, each
-to the same bits as alone; a single window is a batch of one, and every
-answer is kept for the process, so no window is solved twice.  An
-independent growth-rate route (log-domain counting DP over all suffix
-states, gathering through a -inf sentinel slot) is the cross-check.
+polynomial X^(d+1) - X^d - 1, found by bisection; the run-length count runs
+the matching recurrence.  Subblock capacity is a closed form over an exact
+big-integer binomial sum, the subblock sum S(L, w), whose powers are the
+subblock counts.  Sliding-window capacity has no closed form; it is the log
+of the spectral radius of the window transfer graph, computed by power
+iteration on the C(T, w) follower-set classes of its 2^(T-1) suffix states
+and stopped on a certified Collatz-Wielandt bracket.  The classes are
+enumerated directly, so the solve allocates only C(T, w)-sized arrays.  One
+kernel solves a batch of windows in one power iteration over the disjoint
+union of their class graphs, each to the same bits as alone; a single window
+is a batch of one, and every answer is kept for the process, so no window is
+solved twice.  An independent growth-rate route (log-domain counting DP over
+all suffix states, gathering through a -inf sentinel slot) is the
+cross-check.
 """
 
 from __future__ import annotations
@@ -94,15 +96,23 @@ def rll_capacity(d: int) -> CapacityResult:
     return CapacityResult(value=math.log2(root), method="closed-form", residual=hi - lo)
 
 
-def sec_capacity(length: int, w: int) -> CapacityResult:
-    """(1/L) * log2(sum of C(L, i) for i = w..L), evaluated exactly."""
+def _subblock_words(length: int, w: int) -> int:
+    """S(L, w), the sum of C(L, i) for i = w..L: the L-bit words with at least w ones."""
     _check_pair(length, w, "sec")
     # the same integer from the shorter side: 2^L minus the w terms below w
     if w < length - w + 1:
-        total = (1 << length) - sum(math.comb(length, i) for i in range(w))
-    else:
-        total = sum(math.comb(length, i) for i in range(w, length + 1))
-    return CapacityResult(value=math.log2(total) / length, method="closed-form")
+        return (1 << length) - sum(math.comb(length, i) for i in range(w))
+    return sum(math.comb(length, i) for i in range(w, length + 1))
+
+
+def sec_capacity(length: int, w: int) -> CapacityResult:
+    """(1/L) * log2 S(L, w), with the subblock sum S(L, w) evaluated exactly.
+
+    SEC._count reads the same integer: S(L, w)^k words of kL bits.
+    """
+    return CapacityResult(
+        value=math.log2(_subblock_words(length, w)) / length, method="closed-form"
+    )
 
 
 def sec_one_zero_capacity(t: int) -> CapacityResult:

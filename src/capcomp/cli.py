@@ -143,9 +143,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ["param", "o_rll", "o_swc", "o_swc_method", "o_sec", "o_sec_method", "ceiling"]
         )
         for value, model in zip(grid, models):
-            rll = outage.o_rll(model)
-            swc = outage.o_swc(model, state_budget=args.state_budget)
-            sec = outage.o_sec(model)
+            report = outage.gap_report(model, state_budget=args.state_budget)
+            rll, swc, sec = report["o_rll"], report["o_swc"], report["o_sec"]
             writer.writerow(
                 [
                     _format_rational(value),
@@ -154,7 +153,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     swc.method,
                     f"{sec.value:.6f}",
                     sec.method,
-                    f"{rll.ceiling:.6f}",
+                    f"{report['ceiling']:.6f}",
                 ]
             )
     finally:

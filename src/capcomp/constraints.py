@@ -1,8 +1,8 @@
 """Binary sequence constraints: run-length, sliding-window, and subblock rules.
 
 Three families, each a frozen parameter record that also carries the
-family's rules (membership, counting recurrence, zero-outage condition,
-draining witness) and its command-line binding:
+family's rules (membership, count, zero-outage condition, draining witness)
+and its command-line binding:
 
 * RLL(d): at least d ones separate any two successive zeros.  Sequences
   shorter than d+1 bits carry no full separation window and are accepted;
@@ -16,6 +16,12 @@ draining witness) and its command-line binding:
 With these conventions RLL(d) and SWC(d+1, d) accept exactly the same
 sequences at every length, which the verification suites exercise.
 
+Each count comes from the formula behind the family's capacity: the
+run-length count runs the recurrence whose characteristic polynomial
+rll_capacity solves, the subblock count is a power of sec_capacity's
+subblock sum, and the window count runs on the growth route's predecessor
+tables.  The brute-force oracles check all three.
+
 Each rule exists twice.  ``_accepts`` tests one bit string of any length;
 ``_accepts_words`` tests a numpy array of n-bit integer words at once, with
 shifts and popcounts.  Character i of a string is bit n-1-i of its word, so
@@ -27,12 +33,13 @@ words; ``satisfies`` and the witness builders run on strings.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .capacity import DEFAULT_STATE_BUDGET, _check_swc_args, _window_tables
+from .capacity import DEFAULT_STATE_BUDGET, _check_swc_args, _subblock_words, _window_tables
 from .energy import EnergyModel, _check_bits, rll_feasible, sec_feasible, swc_feasible
 from .errors import NoWitnessError, ResourceLimitError, _check_pair
 
@@ -52,9 +59,10 @@ class _Family:
     field order (SEC's ``length`` is ``--l``); ``labels`` names the fields in
     outage reports.  The per-family rules are the methods ``_accepts`` (the
     membership test on a checked bit string), ``_accepts_words`` (the same
-    test on an array of n-bit words, as a bool mask), ``_count`` (the counting
-    recurrence), ``_feasible`` (the zero-outage condition) and ``_witness``
-    (one period of a draining sequence, for infeasible models).
+    test on an array of n-bit words, as a bool mask), ``_count`` (the exact
+    count, from the formula behind the family's capacity), ``_feasible``
+    (the zero-outage condition) and ``_witness`` (one period of a draining
+    sequence, for infeasible models).
     """
 
     family: ClassVar[str]
@@ -107,20 +115,26 @@ class RLL(_Family):
         return ok
 
     def _count(self, n: int) -> int:
+        """2^n for n <= d, else g(n), by the recurrence of X^(d+1) - X^d - 1.
+
+        g(k) counts the k-bit words in which every two zeros are at least d
+        ones apart, which is the rule for n > d.  For k <= d + 1 at most one
+        zero fits, so g(k) = k + 1.  For k >= d + 2 a valid word either ends
+        in 1 after any valid word of k - 1 bits, or ends in 0: then its last
+        d + 1 bits are 1^d 0, since a zero among the d bits before the final
+        zero would be too close, and they follow any valid word of k - d - 1
+        bits, since the d ones separate that word's zeros from the final one.
+        So g(k) = g(k - 1) + g(k - d - 1).  Only the last d + 1 terms are
+        kept.
+        """
         d = self.d
         if n <= d:
             return 1 << n
-        # states: no zero emitted yet, or j ones since the last zero (j capped at d)
-        free = 1
-        run = [0] * (d + 1)
-        for _ in range(n):
-            nxt = [0] * (d + 1)
-            nxt[0] = free + run[d]  # a zero is legal only after >= d ones, or first
-            for j in range(d):
-                nxt[j + 1] += run[j]
-            nxt[d] += run[d]
-            run = nxt
-        return free + sum(run)
+        # g(k - d - 1), ..., g(k - 1), starting at k = d + 2
+        terms = deque(range(2, d + 3), maxlen=d + 1)
+        for _ in range(d + 2, n + 1):
+            terms.append(terms[-1] + terms[0])
+        return terms[-1]
 
     def _feasible(self, model: EnergyModel) -> bool:
         return rll_feasible(self.d, model)
@@ -222,19 +236,14 @@ class SEC(_Family):
         return ok
 
     def _count(self, n: int) -> int:
+        """S(L, w)^(n/L), with S(L, w) the subblock sum of sec_capacity.
+
+        The rule tests each aligned subblock alone, so each of the n/L
+        subblocks is chosen independently among the S(L, w) L-bit words with
+        at least w ones.
+        """
         self._check_length(n)
-        # ones accumulated inside the current subblock -> count
-        state = {0: 1}
-        for i in range(n):
-            nxt: dict[int, int] = {}
-            for ones, cnt in state.items():
-                nxt[ones] = nxt.get(ones, 0) + cnt
-                nxt[ones + 1] = nxt.get(ones + 1, 0) + cnt
-            if (i + 1) % self.length == 0:
-                carried = sum(cnt for ones, cnt in nxt.items() if ones >= self.w)
-                nxt = {0: carried}
-            state = nxt
-        return sum(state.values())
+        return _subblock_words(self.length, self.w) ** (n // self.length)
 
     def _feasible(self, model: EnergyModel) -> bool:
         return sec_feasible(self.length, self.w, model)
@@ -294,9 +303,12 @@ def enumerate_sequences(spec: ConstraintSpec, n: int) -> list[str]:
 
 
 def count_exact(spec: ConstraintSpec, n: int) -> int:
-    """Number of valid length-n sequences, by exact integer recurrence.
+    """Number of valid length-n sequences, exact, from each capacity's own formula.
 
-    A window spec over the state budget raises ResourceLimitError.
+    Run lengths follow the characteristic recurrence of rll_capacity's
+    polynomial, subblocks are a power of sec_capacity's subblock sum, and
+    windows run an integer DP on the growth route's predecessor tables.  A
+    window spec over the state budget raises ResourceLimitError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -85,7 +85,11 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Per-use draw ``b``, buffer capacity ``e_max``, starting charge ``e_init``."""
+    """Per-use draw ``b``, buffer capacity ``e_max``, starting charge ``e_init``.
+
+    Each field goes through parse_rational, so the constructor accepts and
+    refuses exactly what the command line does.
+    """
 
     b: Fraction
     e_max: Fraction
@@ -93,10 +97,7 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         for name in ("b", "e_max", "e_init"):
-            val = getattr(self, name)
-            if isinstance(val, float):
-                raise TypeError(f"{name} must be an exact rational, not float")
-            object.__setattr__(self, name, Fraction(val))
+            object.__setattr__(self, name, parse_rational(getattr(self, name)))
         if not 0 < self.b < 1:
             raise ValueError(f"b must lie strictly between 0 and 1, got {self.b}")
         if self.e_max < 0:
@@ -114,10 +115,7 @@ class EnergyModel:
         e_init: RationalLike | None = None,
     ) -> "EnergyModel":
         """Build a model from rational literals; e_init defaults to a full buffer."""
-        b_q = parse_rational(b)
-        e_max_q = parse_rational(e_max)
-        e_init_q = e_max_q if e_init is None else parse_rational(e_init)
-        return cls(b=b_q, e_max=e_max_q, e_init=e_init_q)
+        return cls(b=b, e_max=e_max, e_init=e_max if e_init is None else e_init)
 
     def with_full_buffer(self) -> "EnergyModel":
         if self.e_init == self.e_max:

@@ -1,8 +1,10 @@
 """Self-verification suites pitting independent routes against each other.
 
-counts:       integer recurrences vs brute-force enumeration, and the
-              per-subblock product rule.  The window recurrence runs on the
-              growth route's predecessor tables, so this checks them too.
+counts:       exact counts vs brute-force enumeration, and the per-subblock
+              product rule.  The counts come from the capacities' own
+              formulas: the run-length characteristic recurrence, powers of
+              the subblock sum, and the growth route's predecessor tables,
+              so this checks all three.
 equivalence:  run-length vs window set identities and containments.
 bounds:       spectral vs growth-rate agreement and every capacity inequality.
 outage:       feasibility conditions vs exact simulation, both directions.
@@ -249,16 +251,18 @@ def suite_bounds() -> list[Check]:
         )
     )
 
-    bad = None
-    for t in range(1, 6):
-        for w in range(1, t + 1):
-            base = exact[t, w]
-            for m in range(1, 4):
-                shifted = exact[t + m, w + m]
-                scaled = exact[t * m, w * m]
-                if shifted > base + SLACK or base > scaled + SLACK:
-                    bad = (t, w, m, shifted, base, scaled)
-                    break
+    # each of the next three checks names its first failure in loop order
+    def ordering_failures():
+        for t in range(1, 6):
+            for w in range(1, t + 1):
+                base = exact[t, w]
+                for m in range(1, 4):
+                    shifted = exact[t + m, w + m]
+                    scaled = exact[t * m, w * m]
+                    if shifted > base + SLACK or base > scaled + SLACK:
+                        yield t, w, m, shifted, base, scaled
+
+    bad = next(ordering_failures(), None)
     checks.append(
         Check(
             name="bounds: shift-down and scale-up window ordering, t<=5 m<=3",
@@ -267,17 +271,17 @@ def suite_bounds() -> list[Check]:
         )
     )
 
-    bad = None
-    for t in range(1, 7):
-        for w in range(1, t + 1):
-            base = exact[t, w]
-            for m in range(1, 4):
-                if w + m <= t and exact[t, w + m] > base + SLACK:
-                    bad = (t, w, m, "heavier weight should not raise capacity")
-                    break
-                if exact[t + m, w] + SLACK < base:
-                    bad = (t, w, m, "wider window should not lower capacity")
-                    break
+    def monotonicity_failures():
+        for t in range(1, 7):
+            for w in range(1, t + 1):
+                base = exact[t, w]
+                for m in range(1, 4):
+                    if w + m <= t and exact[t, w + m] > base + SLACK:
+                        yield t, w, m, "heavier weight should not raise capacity"
+                    if exact[t + m, w] + SLACK < base:
+                        yield t, w, m, "wider window should not lower capacity"
+
+    bad = next(monotonicity_failures(), None)
     checks.append(
         Check(
             name="bounds: weight and window monotonicity, t<=6 m<=3",
@@ -286,15 +290,17 @@ def suite_bounds() -> list[Check]:
         )
     )
 
-    bad = None
-    for t in range(1, 9):
-        for w in range(1, t + 1):
-            value = exact[t, w]
-            lo, hi = sandwich_bounds(t, w)
-            if not (lo - SLACK <= value <= hi + SLACK):
-                bad = (t, w, lo, value, hi)
-            if swc_lower_bound(t, w).value > value + SLACK:
-                bad = (t, w, "composite lower bound above exact value")
+    def sandwich_failures():
+        for t in range(1, 9):
+            for w in range(1, t + 1):
+                value = exact[t, w]
+                lo, hi = sandwich_bounds(t, w)
+                if not (lo - SLACK <= value <= hi + SLACK):
+                    yield t, w, lo, value, hi
+                if swc_lower_bound(t, w).value > value + SLACK:
+                    yield t, w, "composite lower bound above exact value"
+
+    bad = next(sandwich_failures(), None)
     checks.append(
         Check(
             name="bounds: subblock sandwich and composite lower bound, t<=8",
@@ -457,8 +463,6 @@ def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     max_n = MAX_N if max_n is None else max_n
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
     if max_n < _MIN_MAX_N:
         raise ValueError(
             f"max_n must be >= {_MIN_MAX_N} so that every length sweep covers a length, "

@@ -301,7 +301,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--suite", "counts", "--max-n", "-1"], "max_n must be >= 0, got -1"),
+            (
+                ["--suite", "counts", "--max-n", "-1"],
+                "max_n must be >= 6 so that every length sweep covers a length, got -1",
+            ),
             (
                 ["--suite", "all", "--max-n", "5"],
                 "max_n must be >= 6 so that every length sweep covers a length, got 5",

@@ -1,5 +1,8 @@
 """Constraint membership, enumeration, exact counting, adversarial sequences."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +159,36 @@ class TestCountExact:
                 spec = SWC(t, w)
                 for n in range(15):
                     assert count_exact(spec, n) == len(_words(spec, n)), (t, w, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 30, 100])
+    def test_run_length_count_is_the_stars_and_bars_sum(self, d):
+        # k zeros with at least d ones between successive zeros: take d ones
+        # out of each of the k - 1 gaps, then place k zeros freely
+        for n in range(d + 1, 400):
+            expect = sum(math.comb(n - (k - 1) * d, k) for k in range((n - 1) // (d + 1) + 2))
+            assert count_exact(RLL(d), n) == expect, n
+
+    def test_run_length_count_is_the_window_count(self):
+        for d in range(1, 13):
+            for n in range(60):
+                assert count_exact(RLL(d), n) == count_exact(SWC(d + 1, d), n), (d, n)
+
+    def test_subblock_count_is_a_power_of_the_block_words(self):
+        for length in range(1, 9):
+            for w in range(1, length + 1):
+                spec = SEC(length, w)
+                block_words = len(_words(spec, length))
+                for k in range(16 // length + 1):
+                    assert count_exact(spec, k * length) == block_words**k, (spec, k)
+
+    def test_run_length_count_keeps_only_the_last_terms(self):
+        tracemalloc.start()
+        try:
+            count_exact(RLL(3), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_state_budget_guard(self):
         with pytest.raises(ResourceLimitError):

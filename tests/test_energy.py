@@ -1,5 +1,6 @@
 """Battery model: parsing, simulation, feasibility, candidate families."""
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,6 +85,24 @@ class TestEnergyModel:
     def test_rejects_float_fields(self):
         with pytest.raises(TypeError):
             EnergyModel(b=0.6, e_max=Fraction(1), e_init=Fraction(1))
+
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [
+            ("b", "1e-1", ValueError),
+            ("b", Decimal("0.5"), TypeError),
+            ("e_max", True, TypeError),
+            ("e_max", "1_0/100", ValueError),
+        ],
+    )
+    def test_constructor_refuses_what_the_parser_refuses(self, field, value, error):
+        fields = {"b": Fraction(1, 2), "e_max": Fraction(1), "e_init": Fraction(0)}
+        with pytest.raises(error):
+            parse_rational(value)
+        with pytest.raises(error):
+            EnergyModel(**{**fields, field: value})
+        with pytest.raises(error):
+            EnergyModel.make(**{**fields, field: value})
 
 
 class TestSimulate:

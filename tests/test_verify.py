@@ -1,11 +1,12 @@
-"""Verification suites: the outage suite's witnesses against a string reference."""
+"""Verification suites: outage witnesses against a string reference, bounds failure details."""
 
+import dataclasses
 import itertools
 import re
 from collections import defaultdict
 
-from capcomp import RLL, SEC, SWC, EnergyModel, outage_occurs, satisfies
-from capcomp.verify import _OUTAGE_GRID, _spec_text, suite_outage
+from capcomp import RLL, SEC, SWC, EnergyModel, outage_occurs, satisfies, verify
+from capcomp.verify import _OUTAGE_GRID, _spec_text, suite_bounds, suite_outage
 
 FEASIBLE_FAILURE = re.compile(r"feasible (.+) outages on ([01]+)")
 
@@ -43,3 +44,24 @@ def test_forced_feasible_witnesses_match_the_string_reference(monkeypatch):
         witnesses_by_spec[text].add(witness)
     # models of one batch got different witnesses, so the rows were read apart
     assert max(len(w) for w in witnesses_by_spec.values()) > 1
+
+
+def test_bounds_checks_name_their_first_failure(monkeypatch):
+    real = verify.swc_capacities_exact
+
+    def raised(windows):
+        # two windows lifted far enough to break every ordering they enter
+        return {
+            key: dataclasses.replace(result, value=result.value + 0.5)
+            if key in ((3, 2), (5, 3))
+            else result
+            for key, result in real(windows).items()
+        }
+
+    monkeypatch.setattr(verify, "swc_capacities_exact", raised)
+    details = {check.name.split(",")[0]: check.detail for check in suite_bounds()}
+    assert details["bounds: shift-down and scale-up window ordering"].startswith("(2, 1, 1, ")
+    assert details["bounds: weight and window monotonicity"] == (
+        "(3, 1, 1, 'heavier weight should not raise capacity')"
+    )
+    assert details["bounds: subblock sandwich and composite lower bound"].startswith("(3, 2, ")
