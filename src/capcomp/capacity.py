@@ -351,9 +351,9 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     )
 
 
-# (t, w, tol) -> (value, width) of every window _swc_spectral has solved in
-# this process
-_SPECTRAL: dict[tuple[int, int, float], tuple[float, float]] = {}
+# (t, w, tol) -> the result of every window _swc_spectral has solved in this
+# process
+_SPECTRAL: dict[tuple[int, int, float], CapacityResult] = {}
 
 
 def swc_capacity_exact(
@@ -396,16 +396,12 @@ def swc_capacities_exact(
     for t, w in windows:
         _check_swc_args(t, w, state_budget)
     todo = [(t, w) for t, w in windows if w < t and (t, w, tol) not in _SPECTRAL]
-    for (t, w), solved in zip(todo, _swc_spectral(todo, tol)):
-        _SPECTRAL[t, w, tol] = solved
-    results = {}
-    for t, w in windows:
-        if w == t:
-            results[t, w] = CapacityResult(value=0.0, method="closed-form")
-        else:
-            value, width = _SPECTRAL[t, w, tol]
-            results[t, w] = CapacityResult(value=value, method="spectral", residual=width)
-    return results
+    for (t, w), (value, width) in zip(todo, _swc_spectral(todo, tol)):
+        _SPECTRAL[t, w, tol] = CapacityResult(value=value, method="spectral", residual=width)
+    return {
+        (t, w): CapacityResult(value=0.0, method="closed-form") if w == t else _SPECTRAL[t, w, tol]
+        for t, w in windows
+    }
 
 
 def swc_capacity_growth(

@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import capacity, constraints, outage, verify
 from .capacity import DEFAULT_STATE_BUDGET
 from .energy import EnergyModel, parse_rational, simulate
-from .errors import NoWitnessError, ResourceLimitError
+from .errors import ResourceLimitError
 
 
 def _format_rational(q: Fraction) -> str:
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.vary == "b" and args.emax is None:
                 raise ValueError("sweep --vary b needs a fixed --emax")
         return args.func(args)
-    except (ValueError, TypeError, ResourceLimitError, NoWitnessError, OSError) as exc:
+    except (ValueError, TypeError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -100,7 +100,6 @@ def o_rll(model: EnergyModel) -> OutageResult:
     Only d = ceil(b / (1 - b)) matters: smaller d is infeasible and the rate
     strictly drops with d.  Zero when the buffer cannot hold one draw.
     """
-    model = model.with_full_buffer()
     candidates = [(math.ceil(model.b / (1 - model.b)),)] if model.e_max >= model.b else []
     return _best(model, candidates, lambda d: (rll_capacity(d).value, True))
 

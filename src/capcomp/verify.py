@@ -9,6 +9,14 @@ equivalence:  run-length vs window set identities and containments.
 bounds:       spectral vs growth-rate agreement and every capacity inequality.
 outage:       feasibility conditions vs exact simulation, both directions.
 
+Most checks follow one rule, built by _first_failure: a check passes when
+its scan finds no failure, and its detail names the first failure in scan
+order.  The scans are lazy generators, so each stops at its first failure;
+in the outage suite an infeasible spec's witness is not searched once an
+earlier spec of its family has failed.  The other checks report a measure
+whatever the outcome (a worst difference, a least margin), carry no
+detail, or test one fixed fact.
+
 The brute-force side of counts, equivalence and outage runs on numpy arrays
 of n-bit words (see constraints): the valid words of each (spec, n) are
 enumerated once and cached, then tested against another family's word rule
@@ -28,7 +36,7 @@ of run_suite; REPS_CAP and the other limits are module constants.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 
@@ -43,6 +51,7 @@ from .capacity import (
     swc_capacity_growth,
 )
 from .constraints import (
+    DEFAULT_ENUM_LIMIT,
     RLL,
     SEC,
     SWC,
@@ -53,6 +62,7 @@ from .constraints import (
     count_exact,
 )
 from .energy import EnergyModel, _outage_words, outage_occurs
+from .errors import ResourceLimitError
 
 MODEL_B_GRID = ("1/4", "1/2", "3/5", "3/4")
 MODEL_EMAX_GRID = ("1/4", "1/2", "1", "3/2", "2", "3")
@@ -76,6 +86,15 @@ class Check:
     detail: str = ""
 
 
+def _first_failure(name: str, failures: Iterable, describe: Callable = repr) -> Check:
+    """The check named name: passed when failures is empty, else detailing its first item.
+
+    Only the first item is drawn, so a lazy scan stops at its first failure.
+    """
+    bad = next(iter(failures), None)
+    return Check(name, bad is None, "" if bad is None else describe(bad))
+
+
 @lru_cache(maxsize=None)
 def _valid(spec: ConstraintSpec, n: int) -> np.ndarray:
     words = _words(spec, n)
@@ -87,19 +106,17 @@ def _same(spec_a: ConstraintSpec, spec_b: ConstraintSpec, n: int) -> bool:
     return np.array_equal(_valid(spec_a, n), _valid(spec_b, n))
 
 
-def _first_hit(
-    spec: ConstraintSpec, lengths: Iterable[int], hits: Callable
-) -> tuple[int, str] | None:
-    """The first valid sequence of spec, by length then word, that hits(words, n) marks.
+def _witnesses(spec: ConstraintSpec, lengths: Iterable[int], hits: Callable) -> Iterator[str]:
+    """Per length, the first valid sequence of spec that hits(words, n) marks, as text.
 
-    Returns its length and bit string, or None when no valid word is marked.
+    Yields "witness <bits> at n=<n>" for each length, in order, that has a
+    marked valid word; the lengths after one are enumerated only on demand.
     """
     for n in lengths:
         words = _valid(spec, n)
         marked = np.flatnonzero(hits(words, n))
         if marked.size:
-            return n, _word_text(int(words[marked[0]]), n)
-    return None
+            yield f"witness {_word_text(int(words[marked[0]]), n)} at n={n}"
 
 
 # how the suites name a spec in check names and details
@@ -126,11 +143,10 @@ _NESTED_WINDOWS = [
 
 
 def _count_check(spec: ConstraintSpec, lengths: range, max_n: int) -> Check:
-    bad = next((n for n in lengths if count_exact(spec, n) != len(_valid(spec, n))), None)
-    return Check(
-        name=f"counts: recurrence vs enumeration, {_spec_text(spec)}, n<={max_n}",
-        passed=bad is None,
-        detail="" if bad is None else f"first mismatch at n={bad}",
+    return _first_failure(
+        f"counts: recurrence vs enumeration, {_spec_text(spec)}, n<={max_n}",
+        (n for n in lengths if count_exact(spec, n) != len(_valid(spec, n))),
+        "first mismatch at n={}".format,
     )
 
 
@@ -142,14 +158,15 @@ def suite_counts(max_n: int = MAX_N) -> list[Check]:
     for spec in _subblocks(MAX_L):
         checks.append(_count_check(spec, range(0, max_n + 1, spec.length), max_n))
         block_words = len(_valid(spec, spec.length))
-        product_ok = all(
-            count_exact(spec, k * spec.length) == block_words**k for k in range(1, 4)
-        )
         checks.append(
-            Check(
-                name=f"counts: product rule, {_spec_text(spec)}, k<=3",
-                passed=product_ok,
-                detail="" if product_ok else f"block words {block_words}",
+            _first_failure(
+                f"counts: product rule, {_spec_text(spec)}, k<=3",
+                (
+                    f"block words {block_words}"
+                    for k in range(1, 4)
+                    if count_exact(spec, k * spec.length) != block_words**k
+                ),
+                str,
             )
         )
     return checks
@@ -158,27 +175,25 @@ def suite_counts(max_n: int = MAX_N) -> list[Check]:
 def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
     checks = []
     for d in range(1, MAX_D + 1):
-        bad = next((n for n in range(max_n + 1) if not _same(RLL(d), SWC(d + 1, d), n)), None)
         checks.append(
-            Check(
-                name=f"equivalence: rll d={d} is the window rule t={d + 1} w={d}, n<={max_n}",
-                passed=bad is None,
-                detail="" if bad is None else f"sets differ at n={bad}",
+            _first_failure(
+                f"equivalence: rll d={d} is the window rule t={d + 1} w={d}, n<={max_n}",
+                (n for n in range(max_n + 1) if not _same(RLL(d), SWC(d + 1, d), n)),
+                "sets differ at n={}".format,
             )
         )
     for wide, narrow in _NESTED_WINDOWS:
         # below wide.t bits the wide rule is vacuous, so start there
-        bad = _first_hit(
-            wide,
-            range(wide.t, min(max_n, 12) + 1),
-            lambda words, n: ~narrow._accepts_words(words, n),
-        )
         checks.append(
-            Check(
-                name=f"equivalence: window t={wide.t} w={wide.w} inside "
+            _first_failure(
+                f"equivalence: window t={wide.t} w={wide.w} inside "
                 f"t={narrow.t} w={narrow.w}, n<=12",
-                passed=bad is None,
-                detail="" if bad is None else f"witness {bad[1]} at n={bad[0]}",
+                _witnesses(
+                    wide,
+                    range(wide.t, min(max_n, 12) + 1),
+                    lambda words, n: ~narrow._accepts_words(words, n),
+                ),
+                str,
             )
         )
     for t in range(1, 7):
@@ -192,14 +207,13 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
             )
     for t in range(1, 6):
         for w in range(1, t + 1):
-            bad = _first_hit(
-                SWC(t, w), (t, 2 * t), lambda words, n: ~SEC(t, w)._accepts_words(words, n)
-            )
             checks.append(
-                Check(
-                    name=f"equivalence: window inside subblock at multiples, t={t} w={w}",
-                    passed=bad is None,
-                    detail="" if bad is None else f"witness {bad[1]} at n={bad[0]}",
+                _first_failure(
+                    f"equivalence: window inside subblock at multiples, t={t} w={w}",
+                    _witnesses(
+                        SWC(t, w), (t, 2 * t), lambda words, n: ~SEC(t, w)._accepts_words(words, n)
+                    ),
+                    str,
                 )
             )
     differs = not _same(SWC(4, 2), RLL(2), 6)
@@ -251,7 +265,7 @@ def suite_bounds() -> list[Check]:
         )
     )
 
-    # each of the next three checks names its first failure in loop order
+    # the failures of the next three checks, in loop order
     def ordering_failures():
         for t in range(1, 6):
             for w in range(1, t + 1):
@@ -261,15 +275,6 @@ def suite_bounds() -> list[Check]:
                     scaled = exact[t * m, w * m]
                     if shifted > base + SLACK or base > scaled + SLACK:
                         yield t, w, m, shifted, base, scaled
-
-    bad = next(ordering_failures(), None)
-    checks.append(
-        Check(
-            name="bounds: shift-down and scale-up window ordering, t<=5 m<=3",
-            passed=bad is None,
-            detail="" if bad is None else repr(bad),
-        )
-    )
 
     def monotonicity_failures():
         for t in range(1, 7):
@@ -281,15 +286,6 @@ def suite_bounds() -> list[Check]:
                     if exact[t + m, w] + SLACK < base:
                         yield t, w, m, "wider window should not lower capacity"
 
-    bad = next(monotonicity_failures(), None)
-    checks.append(
-        Check(
-            name="bounds: weight and window monotonicity, t<=6 m<=3",
-            passed=bad is None,
-            detail="" if bad is None else repr(bad),
-        )
-    )
-
     def sandwich_failures():
         for t in range(1, 9):
             for w in range(1, t + 1):
@@ -300,14 +296,12 @@ def suite_bounds() -> list[Check]:
                 if swc_lower_bound(t, w).value > value + SLACK:
                     yield t, w, "composite lower bound above exact value"
 
-    bad = next(sandwich_failures(), None)
-    checks.append(
-        Check(
-            name="bounds: subblock sandwich and composite lower bound, t<=8",
-            passed=bad is None,
-            detail="" if bad is None else repr(bad),
-        )
-    )
+    for name, failures in (
+        ("bounds: shift-down and scale-up window ordering, t<=5 m<=3", ordering_failures),
+        ("bounds: weight and window monotonicity, t<=6 m<=3", monotonicity_failures),
+        ("bounds: subblock sandwich and composite lower bound, t<=8", sandwich_failures),
+    ):
+        checks.append(_first_failure(name, failures()))
 
     margins = [sec_one_zero_capacity(t).value - exact[t, t - 1] for t in range(2, 9)]
     checks.append(
@@ -420,27 +414,23 @@ def suite_outage(max_n: int = MAX_N) -> list[Check]:
             if feasible:
                 witnesses = _first_outages(spec, list(feasible.values()), lengths(spec, max_n))
                 sweeps.update(zip(((spec, label) for label in feasible), witnesses))
-    checks = []
-    for label, model in models.items():
-        for specs, _ in _OUTAGE_GRID:
-            bad = None
-            for spec in specs:
-                if (spec, label) in sweeps:
-                    witness = sweeps[spec, label]
-                    if witness is not None:
-                        bad = f"feasible {_spec_text(spec)} outages on {witness}"
-                        break
-                elif _find_outage_witness(spec, model) is None:
-                    bad = f"infeasible {_spec_text(spec)} produced no outage witness"
-                    break
-            checks.append(
-                Check(
-                    name=f"outage iff, {specs[0].family}, {label}",
-                    passed=bad is None,
-                    detail=bad or "",
-                )
-            )
-    return checks
+
+    def failures(specs: list[ConstraintSpec], label: str, model: EnergyModel) -> Iterator[str]:
+        # an infeasible spec's witness is searched only once the specs before it pass
+        for spec in specs:
+            if (spec, label) in sweeps:
+                if sweeps[spec, label] is not None:
+                    yield f"feasible {_spec_text(spec)} outages on {sweeps[spec, label]}"
+            elif _find_outage_witness(spec, model) is None:
+                yield f"infeasible {_spec_text(spec)} produced no outage witness"
+
+    return [
+        _first_failure(
+            f"outage iff, {specs[0].family}, {label}", failures(specs, label, model), str
+        )
+        for label, model in models.items()
+        for specs, _ in _OUTAGE_GRID
+    ]
 
 
 SUITES = {
@@ -458,7 +448,9 @@ def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     suites; None keeps MAX_N.  It is the one setting: the witness search and
     every other limit are module constants.  A max_n below the longest spec
     a length sweep covers raises ValueError, since those suites would pass
-    on an empty range.
+    on an empty range.  A max_n above DEFAULT_ENUM_LIMIT raises
+    ResourceLimitError before any work: no suite enumerates beyond
+    max(max_n, 18) bits, so only max_n can pass the limit.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
@@ -467,6 +459,10 @@ def run_suite(name: str, max_n: int | None = None) -> list[Check]:
         raise ValueError(
             f"max_n must be >= {_MIN_MAX_N} so that every length sweep covers a length, "
             f"got {max_n}"
+        )
+    if max_n > DEFAULT_ENUM_LIMIT:
+        raise ResourceLimitError(
+            f"max_n must be <= {DEFAULT_ENUM_LIMIT}, the enumeration limit, got {max_n}"
         )
     checks = []
     for key, suite in SUITES.items():

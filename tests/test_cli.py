@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from capcomp import ResourceLimitError, cli, outage
+from capcomp import ResourceLimitError, cli, outage, verify
 
 # recorded command outputs
 DATA = Path(__file__).resolve().parent / "data"
@@ -321,9 +321,18 @@ class TestVerify:
                 ["--suite", "equivalence", "--max-n", "0"],
                 "max_n must be >= 6 so that every length sweep covers a length, got 0",
             ),
+            (
+                ["--suite", "all", "--max-n", "25"],
+                "max_n must be <= 24, the enumeration limit, got 25",
+            ),
         ],
     )
-    def test_rejects_invalid_limits(self, capsys, flags, message):
+    def test_rejects_invalid_limits(self, capsys, monkeypatch, flags, message):
+        def refuse(spec, n):
+            raise AssertionError(f"enumerated {spec} at n={n} before refusing the limit")
+
+        # a refused max_n is refused before any suite enumerates a length
+        monkeypatch.setattr(verify, "_words", refuse)
         rc, out, err = run(capsys, "verify", *flags)
         assert (rc, out, err) == (1, "", f"error: {message}\n")
 

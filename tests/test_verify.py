@@ -1,9 +1,11 @@
-"""Verification suites: outage witnesses against a string reference, bounds failure details."""
+"""Verification suites: outage witnesses against a string reference, failure details."""
 
 import dataclasses
 import itertools
 import re
 from collections import defaultdict
+
+import pytest
 
 from capcomp import RLL, SEC, SWC, EnergyModel, outage_occurs, satisfies, verify
 from capcomp.verify import _OUTAGE_GRID, _spec_text, suite_bounds, suite_outage
@@ -65,3 +67,103 @@ def test_bounds_checks_name_their_first_failure(monkeypatch):
         "(3, 1, 1, 'heavier weight should not raise capacity')"
     )
     assert details["bounds: subblock sandwich and composite lower bound"].startswith("(3, 2, ")
+
+
+@pytest.fixture
+def fresh_words():
+    """Empty the valid-word cache before and after: a scenario may change a word rule."""
+    verify._valid.cache_clear()
+    yield
+    verify._valid.cache_clear()
+
+
+def failing(checks):
+    return [(c.name, c.detail) for c in checks if not c.passed]
+
+
+@pytest.mark.parametrize(
+    "overcounted,expected",
+    [
+        (
+            lambda spec, n: spec == SWC(3, 2) and n >= 7,
+            [("counts: recurrence vs enumeration, swc t=3 w=2, n<=10", "first mismatch at n=7")],
+        ),
+        (
+            lambda spec, n: spec == SEC(2, 1),
+            [
+                ("counts: recurrence vs enumeration, sec L=2 w=1, n<=10", "first mismatch at n=0"),
+                ("counts: product rule, sec L=2 w=1, k<=3", "block words 3"),
+            ],
+        ),
+    ],
+    ids=["window", "subblock"],
+)
+def test_count_checks_name_their_first_failure(monkeypatch, fresh_words, overcounted, expected):
+    real = verify.count_exact
+    monkeypatch.setattr(verify, "count_exact", lambda spec, n: real(spec, n) + overcounted(spec, n))
+    assert failing(verify.run_suite("all", max_n=10)) == expected
+
+
+def test_a_loosened_window_rule_fails_every_route_at_its_first_witness(monkeypatch, fresh_words):
+    real = SWC._accepts_words
+
+    def also_zero(self, words, n):
+        # (2, 1) and (4, 2) also admit the all-zeros word
+        accepted = real(self, words, n)
+        return accepted | (words == 0) if (self.t, self.w) in ((2, 1), (4, 2)) else accepted
+
+    monkeypatch.setattr(SWC, "_accepts_words", also_zero)
+    swc_outage = [
+        ("b=1/4 emax=1/4", "00"),
+        ("b=1/4 emax=1/2", "000"),
+        ("b=1/4 emax=1", "00000"),
+        ("b=1/4 emax=3/2", "0000000"),
+        ("b=1/4 emax=2", "000000000"),
+        ("b=1/2 emax=1/2", "00"),
+        ("b=1/2 emax=1", "000"),
+        ("b=1/2 emax=3/2", "0000"),
+        ("b=1/2 emax=2", "00000"),
+        ("b=1/2 emax=3", "0000000"),
+    ]
+    assert failing(verify.run_suite("all", max_n=10)) == [
+        ("counts: recurrence vs enumeration, swc t=2 w=1, n<=10", "first mismatch at n=2"),
+        ("counts: recurrence vs enumeration, swc t=4 w=2, n<=10", "first mismatch at n=4"),
+        ("equivalence: rll d=1 is the window rule t=2 w=1, n<=10", "sets differ at n=2"),
+        ("equivalence: window t=4 w=2 inside t=3 w=1, n<=12", "witness 0000 at n=4"),
+        ("equivalence: window equals subblock at n=t, t=2 w=1", ""),
+        ("equivalence: window equals subblock at n=t, t=4 w=2", ""),
+        ("equivalence: window inside subblock at multiples, t=2 w=1", "witness 00 at n=2"),
+        ("equivalence: window inside subblock at multiples, t=4 w=2", "witness 0000 at n=4"),
+        *(
+            (f"outage iff, swc, {label}", f"feasible swc t=2 w=1 outages on {witness}")
+            for label, witness in swc_outage
+        ),
+    ]
+
+
+def test_a_missing_witness_stops_its_family_scan(monkeypatch, fresh_words):
+    real = verify._find_outage_witness
+    searched = []
+
+    def no_rll2_witness(spec, model):
+        searched.append((spec, model))
+        return None if spec == RLL(2) else real(spec, model)
+
+    monkeypatch.setattr(verify, "_find_outage_witness", no_rll2_witness)
+    labels = [
+        "b=1/2 emax=1/4",
+        "b=3/5 emax=1/4",
+        "b=3/5 emax=1/2",
+        "b=3/4 emax=1/4",
+        "b=3/4 emax=1/2",
+        "b=3/4 emax=1",
+        "b=3/4 emax=3/2",
+        "b=3/4 emax=2",
+        "b=3/4 emax=3",
+    ]
+    assert failing(verify.run_suite("all", max_n=10)) == [
+        (f"outage iff, rll, {label}", "infeasible rll d=2 produced no outage witness")
+        for label in labels
+    ]
+    # each scan stops at d=2, though d=3 and d=4 are infeasible under b=1/2 emax=1/4 too
+    assert {spec for spec, _ in searched if spec.family == "rll"} == {RLL(1), RLL(2)}
