@@ -10,11 +10,11 @@ iteration on the C(T, w) follower-set classes of its 2^(T-1) suffix states
 and stopped on a certified Collatz-Wielandt bracket.  The classes are
 enumerated directly, so the solve allocates only C(T, w)-sized arrays.  One
 kernel solves a batch of windows in one power iteration over the disjoint
-union of their class graphs, each to the same bits as alone; a single window
-is a batch of one, and every answer is kept for the process, so no window is
-solved twice.  An independent growth-rate route (log-domain counting DP over
-all suffix states, gathering through a -inf sentinel slot) is the
-cross-check.
+union of their class graphs, each recorded at its own first closed bracket
+and to the same bits as alone; a single window is a batch of one, and every
+answer is kept for the process, so no window is solved twice.  An
+independent growth-rate route (log-domain counting DP over all suffix states,
+gathering through a -inf sentinel slot) is the cross-check.
 """
 
 from __future__ import annotations
@@ -247,8 +247,7 @@ def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nda
         s1, s0 = _follower_classes(t, w)
         for succ in (s1, s0):
             # class i of the window lies at heavy + i, or at light + i - size
-            np.add(succ, light - size - heavy, out=succ, where=succ >= size)
-            succ += heavy
+            succ += np.where(succ < size, heavy, light - size)
         succ1[heavy : heavy + size] = s1[:size]
         succ1[light : light + sizes[1, k]] = s1[size:]
         succ0[heavy : heavy + size] = s0
@@ -261,12 +260,17 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     Returns per window the midpoint and the width of a Collatz-Wielandt
     bracket on it, both in log2, once the width is under tol.  All windows
     run in one power iteration over the disjoint union of their class
-    graphs, and each drops out of it at its own first closed bracket.  The
-    products, and each window's ratios, bracket and normalization, are the
-    same float operations on the same numbers as in a solve of that window
-    alone, so every (value, width) is too.  Raises ResourceLimitError naming
-    the first window whose bracket is still open after _MAX_POWER_ITER
-    iterations.
+    graphs, and each window's answer is recorded at its own first closed
+    bracket.  Raises ResourceLimitError naming the first window whose
+    bracket is still open after _MAX_POWER_ITER iterations.
+
+    Proof that each (value, width) is that of a solve of the window alone.
+    The union has no edge between blocks, so a block's products read only
+    its own entries, and its ratios, bracket and normalization read only its
+    own products.  So a window's entries are the same float operations on
+    the same numbers as alone, whatever the other windows do; in particular
+    a closed window can keep iterating, and no window drops out or is
+    renumbered.
 
     Proof that the follower-set quotient has the same spectral radius.  A
     suffix state p (the last t-1 bits) admits bit c iff popcount(p) + c >= w,
@@ -303,9 +307,9 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     sizes, succ1, succ0 = _class_union(windows)
     starts = np.cumsum(sizes) - sizes.ravel()
     blocks = list(zip(starts.tolist(), sizes.ravel().tolist()))
-    live = list(range(len(windows)))  # the window of each block column
-    results: list = [None] * len(windows)
-    widths = [math.inf] * len(windows)
+    count = len(windows)
+    results: list = [None] * count
+    widths = [math.inf] * count
     vec = np.ones(len(succ1))
     for n in range(1, _MAX_POWER_ITER + 1):
         nxt = np.take(vec, succ1)
@@ -316,34 +320,20 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
         ratio = nxt / vec
         lows = np.minimum.reduceat(ratio, starts).tolist()
         highs = np.maximum.reduceat(ratio, starts).tolist()
-        count = len(live)
-        closed = []
-        for j, k in enumerate(live):
-            lo = math.log2(min(lows[j], lows[count + j]))
-            hi = math.log2(max(highs[j], highs[count + j]))
-            widths[k] = hi - lo
-            if hi - lo < tol:
-                results[k] = 0.5 * (lo + hi), hi - lo
-                closed.append(j)
-        if len(closed) == count:
+        for k in range(count):
+            if results[k] is None:
+                lo = math.log2(min(lows[k], lows[count + k]))
+                hi = math.log2(max(highs[k], highs[count + k]))
+                widths[k] = hi - lo
+                if hi - lo < tol:
+                    results[k] = 0.5 * (lo + hi), hi - lo
+        if None not in results:
             return results
-        if closed:
-            # drop the closed windows' classes and renumber the rest
-            alive = np.ones(count, dtype=bool)
-            alive[closed] = False
-            keep = np.repeat(np.tile(alive, 2), sizes.ravel())
-            index = np.cumsum(keep) - 1
-            succ1, succ0 = index[succ1[keep]], index[succ0[keep[: len(succ0)]]]
-            nxt, sizes = nxt[keep], sizes[:, alive]
-            live = [k for j, k in enumerate(live) if alive[j]]
-            count = len(live)
-            starts = np.cumsum(sizes) - sizes.ravel()
-            blocks = list(zip(starts.tolist(), sizes.ravel().tolist()))
         tops = np.maximum.reduceat(nxt, starts).tolist()
         for j, (start, size) in enumerate(blocks):
             nxt[start : start + size] /= max(tops[j % count], tops[j % count + count])
         vec = nxt
-    k = live[0]
+    k = results.index(None)
     t, w = windows[k]
     raise ResourceLimitError(
         f"power iteration for window ({t}, {w}) did not converge within "
@@ -420,16 +410,15 @@ def swc_capacity_growth(
     if w == t:
         return CapacityResult(value=0.0, method="dp-growth")
     idx0, idx1 = _window_tables(t, w)
-    neg = -np.inf
     # every (t-1)-bit prefix is valid, count 1; then the sentinel slot
     buf = np.zeros((1 << (t - 1)) + 1)
-    buf[-1] = neg
+    buf[-1] = -np.inf
     logs = buf[:-1]
 
     def log_total(v: np.ndarray) -> float:
+        # the maximum is finite: for w < t the all-ones state follows itself,
+        # so its count stays at least 1
         top = v.max()
-        if top == neg:
-            return neg
         return float(top + math.log2(np.exp2(v - top).sum()))
 
     prev_total = log_total(logs)

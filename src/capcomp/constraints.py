@@ -46,9 +46,10 @@ from .errors import NoWitnessError, ResourceLimitError, _check_pair
 # Exhaustive enumeration refuses lengths above this many bits.
 DEFAULT_ENUM_LIMIT = 24
 
-# the longest witness adversarial_sequence builds: verify's witness search
-# reaches 49,152 bits, and the simulate command peaks at about 120 bytes per
-# witness bit (96 MB over its baseline at 8 * 10^5 bits)
+# the longest witness adversarial_sequence builds: verify's witnesses of
+# start + 1 periods reach 16 periods, 192 bits, on its grid, and the simulate
+# command peaks at about 120 bytes per witness bit (96 MB over its baseline at
+# 8 * 10^5 bits)
 _MAX_WITNESS_BITS = 1 << 20
 
 

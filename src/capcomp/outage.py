@@ -14,10 +14,13 @@ that many draws, and cached; a rate-vs-buffer sweep thus repeats no scan.
 
 The window-constrained optimum is exact while every candidate's state vector
 fits the budget; larger candidates fall back to the best known lower bound
-and the result is tagged accordingly.  Each zero count T - w is solved once,
-at its shortest window within the budget: a longer window with the same zero
-count has a strictly smaller capacity (proof in o_swc), so it is never the
-argmax and is neither solved nor, past the budget, bounded.
+and the result is tagged accordingly.  A one-zero window (T, T - 1) is the
+run-length rule with d = T - 1, so it is always rated exactly, by its
+run-length root, and o_swc is never below o_rll (proof in o_swc).  Each zero
+count T - w is rated exactly once, at its shortest window that is rated
+exactly: a longer window with the same zero count has a strictly smaller
+capacity (proof in o_swc), so it is never the argmax and is neither solved
+nor, past the budget, bounded.
 """
 
 from __future__ import annotations
@@ -113,12 +116,13 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     """Best sliding-window rate with zero outages.
 
     Maximizes the exact window capacity over the outage-free candidate family.
-    Candidates whose state vector exceeds the budget, or whose length is
-    over the solve's limit of 63, contribute their best lower bound instead,
-    and the result is then tagged "lower-bound".  Ties go
-    to the smallest window.  Each zero count z = T - w is solved only at its
-    shortest candidate within the budget; the longer ones with the same z
-    cannot win and are rated zero unsolved, also past the budget.
+    A one-zero window is rated by its run-length root.  Other candidates
+    whose state vector exceeds the budget, or whose length is over the
+    solve's limit of 63, contribute their best lower bound instead, and the
+    result is then tagged "lower-bound".  Ties go to the smallest window.
+    Each zero count z = T - w is rated exactly only at its shortest
+    candidate that is rated exactly; the longer ones with the same z cannot
+    win and are rated zero unsolved, also past the budget.
 
     Proof that the optimum depends on the model only through (b, z),
     z = floor(e_max / b).  With e_init = e_max and T - w an integer,
@@ -148,6 +152,19 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     A fallback candidate whose zero count has not been solved is rated by
     its bound: the bounds are not monotone in T, so skipping one could lower
     the reported bound.
+
+    Proof that o_swc is never below o_rll.  A one-zero window (t, t - 1)
+    is rated rll_capacity(t - 1), exactly and with no class graph, whatever
+    the budget: RLL(d) = SWC(d + 1, d), since both say that any two zeros
+    are at least d ones apart.  Let d = ceil(b / (1 - b)), o_rll's run
+    length, and let e_max >= b, so z >= 1 (else o_rll is zero).  Each T
+    below d + 1 = ceil(1 / (1 - b)) has T * b > T - 1, so its candidate has
+    w = T and rate zero.  At T = d + 1 the weight max(ceil((d + 1) * b),
+    d + 1 - z) is d: (d + 1) * b <= d as d >= b / (1 - b), and
+    (d + 1) * b > d - 1 as d < b / (1 - b) + 1 < (1 + b) / (1 - b).  So the
+    first one-zero candidate is (d + 1, d), within the pivot
+    ceil(z / (1 - b)) >= d + 1 and feasible; it is rated rll_capacity(d),
+    o_rll's value bit for bit, and _best cannot report less.
     """
     return _o_swc(model.b, _zeros(model, 1), state_budget)
 
@@ -161,6 +178,9 @@ def _o_swc(b: Fraction, z: int, state_budget: int) -> OutageResult:
     def rate(t: int, w: int) -> tuple[float, bool]:
         if t - w in solved:
             return 0.0, True
+        if t - w == 1:
+            solved.add(1)
+            return rll_capacity(w).value, True
         if not _fits_budget(t, w, state_budget):
             return _swc_fallback(t, w)
         solved.add(t - w)

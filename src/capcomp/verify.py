@@ -24,14 +24,14 @@ or the batched battery kernel all at once.  The outage suite sweeps each
 spec once per length for all the grid models it is feasible under, in one
 kernel call, and each length resumes from the battery levels of the length
 before, stepping only the new bits.  An infeasible setup's draining
-witness is searched at 1, 2, 4, ... up to REPS_CAP repetitions.  The bounds
-suite solves every window it reads in one batched power iteration.  A
-witness is formatted as a bit string only on failure, and it is the first
-failing word in ascending order, which is the first failing string in
-lexicographic order.
+witness is built once, at the length proved to suffice (see
+_find_outage_witness).  The bounds suite solves every window it reads in one
+batched power iteration.  A witness is formatted as a bit string only on
+failure, and it is the first failing word in ascending order, which is the
+first failing string in lexicographic order.
 
 max_n, the length cap of the enumeration-backed suites, is the one setting
-of run_suite; REPS_CAP and the other limits are module constants.
+of run_suite; the other limits are module constants.
 """
 
 from __future__ import annotations
@@ -69,10 +69,8 @@ MODEL_EMAX_GRID = ("1/4", "1/2", "1", "3/2", "2", "3")
 
 SLACK = 1e-8
 
-# default sequence-length cap of the enumeration-backed suites, and the most
-# repetitions of a draining witness the outage suite tries
+# default sequence-length cap of the enumeration-backed suites
 MAX_N = 16
-REPS_CAP = 4096
 # largest run length, window length and subblock length the suites try
 MAX_D = 4
 MAX_T = 6
@@ -369,13 +367,26 @@ def _first_outages(
 
 
 def _find_outage_witness(spec: ConstraintSpec, model: EnergyModel) -> str | None:
-    reps = 1
-    while reps <= REPS_CAP:
-        s = adversarial_sequence(spec, model, reps)
-        if outage_occurs(s, model):
-            return s
-        reps *= 2
-    return None
+    """start + 1 periods of the adversarial sequence of spec, if they drain the battery.
+
+    start = model._scaled[3] is e_init in units of 1/den.  None means that no
+    number of periods drains it, by the proof below.
+
+    Proof that start + 1 periods drain whenever any number does.  Each step
+    E -> min(E + x, cap) is nondecreasing in E, so a period that runs
+    outage-free from level e runs outage-free from any e' >= e, ending no
+    lower: the period-end map f is nondecreasing where it is defined.  Let
+    e_0 = start and e_k = f(e_{k-1}) while the periods run outage-free.  If
+    e_1 >= e_0, then by induction every period starts at least as high as
+    the first and ends no lower, so no outage ever happens.  Otherwise the
+    e_k are nonincreasing integers >= 0, since f(e_k) <= f(e_{k-1}) when
+    e_k <= e_{k-1}; once two consecutive ones are equal the run is periodic
+    and outage-free.  So while the run is outage-free they strictly
+    decrease, and e_0 > e_1 > ... > e_k >= 0 allows k <= start: an outage,
+    if there is one, comes within start + 1 periods.
+    """
+    bits = adversarial_sequence(spec, model, model._scaled[3] + 1)
+    return bits if outage_occurs(bits, model) else None
 
 
 # per family for the outage suite: the specs tried, and the lengths a
@@ -445,10 +456,10 @@ def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     """Run one named suite, or all of them in order.
 
     max_n caps the sequence length of the counts, equivalence and outage
-    suites; None keeps MAX_N.  It is the one setting: the witness search and
-    every other limit are module constants.  A max_n below the longest spec
-    a length sweep covers raises ValueError, since those suites would pass
-    on an empty range.  A max_n above DEFAULT_ENUM_LIMIT raises
+    suites; None keeps MAX_N.  It is the one setting: the witness length is
+    proved, and every other limit is a module constant.  A max_n below the
+    longest spec a length sweep covers raises ValueError, since those suites
+    would pass on an empty range.  A max_n above DEFAULT_ENUM_LIMIT raises
     ResourceLimitError before any work: no suite enumerates beyond
     max(max_n, 18) bits, so only max_n can pass the limit.
     """

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capcomp import (
     SWC,
@@ -96,6 +98,9 @@ class TestZeroCountSkip:
         budget = 1 << 12
 
         def rate(t, w):
+            # a one-zero window is the run-length rule d = t - 1
+            if w == t - 1:
+                return rll_capacity(w).value, True
             if _fits_budget(t, w, budget):
                 return swc_capacity_exact(t, w, state_budget=budget).value, True
             return _swc_fallback(t, w)
@@ -144,7 +149,8 @@ class TestZeroCountSkip:
             "--vary", "emax", "--b", "3/5", "--from", "0", "--to", "12", "--step", "1/10",
         )
         capsys.readouterr()
-        windows = [(3, 2), (5, 3), (8, 5), (10, 6), (13, 8), (15, 9), (18, 11), (20, 12)]
+        # the one-zero window (3, 2) is rated by its run-length root, unsolved
+        windows = [(5, 3), (8, 5), (10, 6), (13, 8), (15, 9), (18, 11), (20, 12)]
         assert sorted(solved) == windows
         assert len(capacity._SPECTRAL) == len(windows)
         # 121 rows, but only 21 values of floor(e_max / b) and 11 of
@@ -160,7 +166,9 @@ class TestZeroCountSkip:
             "--vary", "b", "--emax", "10", "--from", "19/20", "--to", "19/20", "--step", "1/20",
         )
         capsys.readouterr()
-        assert solved == [(20, 19)]
+        # (20, 19) is rated by its run-length root, and (21, 20) is skipped;
+        # every window of two or more zeros is past the budget
+        assert solved == []
 
     def test_dominated_fallbacks_are_not_bounded(self, monkeypatch, cold_caches):
         # past the budget, a window whose zero count was solved exactly at a
@@ -198,6 +206,9 @@ class TestOptimumPerZeroCount:
 
     def test_windows_depend_on_the_zero_count_only(self):
         def rate(t, w):
+            # a one-zero window is the run-length rule d = t - 1
+            if w == t - 1:
+                return rll_capacity(w).value, True
             if _fits_budget(t, w, self.BUDGET):
                 return swc_capacity_exact(t, w, state_budget=self.BUDGET).value, True
             return _swc_fallback(t, w)
@@ -345,6 +356,20 @@ class TestOrderAndCeiling:
                     assert sec_res.value >= rll_res.value - 1e-9
                     if rll_res.value > 0:
                         assert sec_res.value > rll_res.value + 1e-6
+
+    @given(
+        q=st.integers(2, 100),
+        p=st.integers(1, 99),
+        e_max=st.sampled_from(["1/2", "1", "2", "5", "10"]),
+    )
+    @example(q=22, p=21, e_max="1")
+    @example(q=1000, p=999, e_max="1")
+    @settings(max_examples=100, deadline=None)
+    def test_window_never_below_run_length(self, q, p, e_max):
+        # a one-zero window is rated by the run-length root, so the best
+        # window is never below the best run length, past the budget too
+        m = model(Fraction(min(p, q - 1), q), e_max)
+        assert o_swc(m).value >= o_rll(m).value
 
     def test_gap_report_fields(self):
         report = gap_report(model("3/5", "6/5"))

@@ -2,12 +2,24 @@
 
 import dataclasses
 import itertools
+import random
 import re
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
-from capcomp import RLL, SEC, SWC, EnergyModel, outage_occurs, satisfies, verify
+from capcomp import (
+    RLL,
+    SEC,
+    SWC,
+    EnergyModel,
+    adversarial_sequence,
+    outage_occurs,
+    satisfies,
+    verify,
+)
+from capcomp.energy import _run
 from capcomp.verify import _OUTAGE_GRID, _spec_text, suite_bounds, suite_outage
 
 FEASIBLE_FAILURE = re.compile(r"feasible (.+) outages on ([01]+)")
@@ -167,3 +179,44 @@ def test_a_missing_witness_stops_its_family_scan(monkeypatch, fresh_words):
     ]
     # each scan stops at d=2, though d=3 and d=4 are infeasible under b=1/2 emax=1/4 too
     assert {spec for spec, _ in searched if spec.family == "rll"} == {RLL(1), RLL(2)}
+
+
+def _witness_models():
+    """verify's 24 grid models, then seeded models, most of them partly charged."""
+    grid = [EnergyModel.make(b, e) for b in verify.MODEL_B_GRID for e in verify.MODEL_EMAX_GRID]
+    rng = random.Random(0)
+    seeded = []
+    for _ in range(150):
+        q = rng.randint(2, 8)
+        e_max = Fraction(rng.randint(1, 24), rng.randint(1, 6))
+        seeded.append(
+            EnergyModel(
+                b=Fraction(rng.randint(1, q - 1), q),
+                e_max=e_max,
+                e_init=e_max * Fraction(rng.randint(0, 6), 6),
+            )
+        )
+    return grid + seeded
+
+
+def test_every_infeasible_spec_drains_within_start_plus_one_periods():
+    # run each witness four times past the proved bound, so a late first
+    # outage would show; some pair with a positive start needs the whole bound
+    tight = 0
+    pairs = 0
+    for model in _witness_models():
+        start = model._scaled[3]
+        for specs, _ in _OUTAGE_GRID:
+            for spec in specs:
+                if spec._feasible(model):
+                    continue
+                pairs += 1
+                period = len(adversarial_sequence(spec, model, 1))
+                bits = adversarial_sequence(spec, model, 4 * (start + 1) + 8)
+                outages = _run(bits, model, stop_at_outage=True)[1]
+                assert outages, (spec, model)
+                periods = -(-outages[0] // period)
+                assert periods <= start + 1, (spec, model)
+                tight += periods == start + 1 and start > 0
+                assert verify._find_outage_witness(spec, model) is not None
+    assert pairs > 3000 and tight > 0
