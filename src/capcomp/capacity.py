@@ -2,9 +2,11 @@
 
 Run-length capacity comes from the largest real root of the characteristic
 polynomial X^(d+1) - X^d - 1, found by bisection; the run-length count runs
-the matching recurrence.  Subblock capacity is a closed form over an exact
-big-integer binomial sum, the subblock sum S(L, w), whose powers are the
-subblock counts.  Sliding-window capacity has no closed form; it is the log
+the matching recurrence.  The (T, 1) window, which is the (0, T - 1)
+zero-run rule, has its capacity from the largest root of X^T (2 - X) = 1,
+bisected on log2(2 - X) by the same kernel.  Subblock capacity is a closed
+form over an exact big-integer binomial sum, the subblock sum S(L, w), whose
+powers are the subblock counts.  Sliding-window capacity has no closed form; it is the log
 of the spectral radius of the window transfer graph, computed by power
 iteration on the C(T, w) follower-set classes of its 2^(T-1) suffix states
 and stopped on a certified Collatz-Wielandt bracket.  The classes are
@@ -20,7 +22,7 @@ gathering through a -inf sentinel slot) is the cross-check.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,8 @@ DEFAULT_STATE_BUDGET = 1 << 20
 ROOT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 GROWTH_TOL = 1e-9
+
+_LN2 = math.log(2.0)
 
 # consecutive sub-tolerance deltas required before the growth route is
 # trusted; a single small delta can be the extremum of a decaying oscillation
@@ -65,14 +69,35 @@ class CapacityResult:
 
     method is one of closed-form, spectral, dp-growth, lower-bound,
     upper-bound.  residual is the bisection bracket width of a run-length
-    root, the certified log2 bracket width for spectral (the capacity lies
-    within residual/2 of value), the last estimate delta for dp-growth, and
-    0.0 for the other closed forms and for bounds.
+    root, the width of the value bracket of a zero-run root, the certified
+    log2 bracket width for spectral (the capacity lies within residual/2 of
+    value), the last estimate delta for dp-growth, and 0.0 for the other
+    closed forms and for bounds.
     """
 
     value: float
     method: str
     residual: float = 0.0
+
+
+def _bisect(
+    lo: float, hi: float, below: Callable[[float], bool], tol: float
+) -> tuple[float, float]:
+    """The bracket [lo, hi] on a root, halved until it is at most tol wide.
+
+    below(x) says whether the root lies above x; it must hold at lo and not
+    at hi, and flip once in between.  The halving also stops when the
+    midpoint rounds onto an end, so tol = 0 bisects to the last float.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def rll_capacity(d: int) -> CapacityResult:
@@ -85,15 +110,52 @@ def rll_capacity(d: int) -> CapacityResult:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    lo, hi = 1.0, 2.0
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if d * math.log2(mid) + math.log2(mid - 1.0) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(1.0, 2.0, lambda x: d * math.log2(x) + math.log2(x - 1.0) < 0.0, ROOT_TOL)
     root = 0.5 * (lo + hi)
     return CapacityResult(value=math.log2(root), method="closed-form", residual=hi - lo)
+
+
+def zero_run_capacity(t: int) -> CapacityResult:
+    """The (t, 1) window capacity: log2 of the largest root of X^t (2 - X) = 1.
+
+    A window of t bits holds a 1 exactly when no run of zeros is t long, so
+    SWC(t, 1) is the (0, t - 1) run-length rule, whose characteristic
+    equation this is (Marcus, Roth & Siegel, Constrained Systems and Coding
+    for Recording Channels, 1998).  Its root X lies in (sqrt 2, 2) for
+    t >= 2: the capacity log2 X is that of (2, 1), log2 of the golden
+    ratio, or more, as SWC(t, 1) grows with t, and it is below 1.
+
+    Near rate 1 the root crowds 2, where a float X keeps few bits of 2 - X,
+    so the root is bisected on u = log2(2 - X) = -t log2 X instead.  There
+    log2 X = 1 + log1p(-2^u / 2) / ln 2 with no cancellation, and the sign
+    of log2(X^t (2 - X)) = t * log2 X + u is negative below the root's u
+    (X above the root) and positive above it.
+
+    The bracket.  As log2 X is in (1/2, 1), the root's u is in (-t, -t/2);
+    so log2 X > log2(2 - 2^(-t/2)), and u < -t log2(2 - 2^(-t/2)), the
+    upper end, within a relative 2^(-t/2) of -t.  Where rounding moves that
+    end past the root, the value moves by far less than 2^-60.  t + u is
+    summed first, exactly, as u lies within a factor 2 of -t.  The slope of
+    log2 X in u is -2^u / (2 - 2^u), at most 2^(-t/2) in size on the
+    bracket, so a u bracket 2^(floor(t/2) - 60) wide maps to a value
+    bracket under 2^-60.  The bisection stops there, or at the last float of
+    u if that comes first; residual is the width of the value bracket.
+    """
+    if t < 2:
+        raise ValueError("t must be >= 2")
+
+    def gap(u: float) -> float:
+        # 1 - log2 X, computed apart from the 1 so that no bits are lost
+        return -math.log1p(-0.5 * 2.0**u) / _LN2
+
+    # the exponent is capped short of float overflow: past the cap, the
+    # first bracket maps to a value bracket under 2^-60 already
+    tol = math.ldexp(1.0, min(t, 1000) // 2 - 60)
+    lo, hi = _bisect(
+        -float(t), -t * (1.0 - gap(-0.5 * t)), lambda u: (t + u) - t * gap(u) < 0.0, tol
+    )
+    value = 1.0 - gap(0.5 * (lo + hi))
+    return CapacityResult(value=value, method="closed-form", residual=gap(hi) - gap(lo))
 
 
 def _subblock_words(length: int, w: int) -> int:

@@ -17,8 +17,10 @@ T*B, which are discontinuous in B; a float that merely prints like 3/5
 can land on the wrong side of a threshold.
 
 Every quantity is scaled by the common denominator of B, E_max and E_init,
-so each step is plain int arithmetic and stays exact.  The scaled recursion
-has two kernels, chosen by the shape of the input:
+so each step is plain int arithmetic and stays exact; the feasibility
+predicates, zero counts and pivots test their thresholds on the same
+integers.  The scaled recursion has two kernels, chosen by the shape of the
+input:
 
 * ``_run`` steps through one bit string of any length.  ``outage_occurs``
   stops it at the first outage; ``simulate`` runs it to the end and turns
@@ -264,40 +266,54 @@ def _outage_words(
 
 
 def rll_feasible(d: int, model: EnergyModel) -> bool:
-    """Whether every (d, inf) run-length sequence avoids outage under the model."""
+    """Whether every (d, inf) run-length sequence avoids outage under the model.
+
+    d >= ceil(b / (1 - b)) and e_init >= b, tested in units of 1/den as
+    d * (den - draw) >= draw and start >= draw.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    return d >= math.ceil(model.b / (1 - model.b)) and model.e_init >= model.b
+    den, draw, _, start = model._scaled
+    return d * (den - draw) >= draw and start >= draw
 
 
 def swc_feasible(t: int, w: int, model: EnergyModel) -> bool:
-    """Whether every (T, w) sliding-window sequence avoids outage under the model."""
+    """Whether every (T, w) sliding-window sequence avoids outage under the model.
+
+    w >= ceil(T * b) and e_init >= (T - w) * b, tested in units of 1/den as
+    w * den >= T * draw and (T - w) * draw <= start.
+    """
     _check_pair(t, w, "swc")
-    return w >= math.ceil(t * model.b) and model.e_init >= (t - w) * model.b
+    den, draw, _, start = model._scaled
+    return w * den >= t * draw and (t - w) * draw <= start
 
 
 def sec_feasible(length: int, w: int, model: EnergyModel) -> bool:
-    """Whether every (L, w) subblock sequence avoids outage under the model."""
+    """Whether every (L, w) subblock sequence avoids outage under the model.
+
+    swc_feasible's two tests, and e_max >= 2 (L - w) * b, tested as
+    cap >= 2 (L - w) * draw.
+    """
     _check_pair(length, w, "sec")
-    return (
-        w >= math.ceil(length * model.b)
-        and model.e_init >= (length - w) * model.b
-        and model.e_max >= 2 * (length - w) * model.b
-    )
+    den, draw, cap, start = model._scaled
+    drain = (length - w) * draw
+    return w * den >= length * draw and drain <= start and 2 * drain <= cap
 
 
 def _zeros(model: EnergyModel, shares: int) -> int:
     """Zeros in a row that 1/shares of a full buffer funds: floor(e_max / (shares * b))."""
-    return math.floor(model.e_max / (shares * model.b))
+    _, draw, cap, _ = model._scaled
+    return cap // (shares * draw)
 
 
 def _pivot(model: EnergyModel, z: int) -> int:
-    """The last span the candidate scans visit: ceil(z / (1 - b)).
+    """The last span the candidate scans visit: ceil(z / (1 - b)) = ceil(z * den / (den - draw)).
 
     Raises ResourceLimitError when it exceeds _MAX_SCAN_SPAN, so the scans
     and the explicit bounds at the pivot refuse it before any work.
     """
-    pivot = math.ceil(z / (1 - model.b))
+    den, draw, _, _ = model._scaled
+    pivot = -(-z * den // (den - draw))
     if pivot > _MAX_SCAN_SPAN:
         raise ResourceLimitError(
             f"candidate scan would reach span {pivot}, over the limit of {_MAX_SCAN_SPAN}"
@@ -308,12 +324,14 @@ def _pivot(model: EnergyModel, z: int) -> int:
 def _pivot_scan(model: EnergyModel, z: int, feasible: Callable) -> list[tuple[int, int]]:
     """Spans 1.._pivot(model, z) at their least weight w, where feasible(span, w, model).
 
-    The least admissible weight is max(ceil(span*b), span - z); empty when z = 0.
+    The least admissible weight is max(ceil(span*b), span - z), with
+    ceil(span*b) = ceil(span * draw / den); empty when z = 0.
     """
     pivot = _pivot(model, z)
+    den, draw, _, _ = model._scaled
     out = []
     for span in range(1, pivot + 1):
-        w = max(math.ceil(span * model.b), span - z)
+        w = max(-(-span * draw // den), span - z)
         if feasible(span, w, model):
             out.append((span, w))
     return out

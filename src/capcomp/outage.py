@@ -14,13 +14,17 @@ that many draws, and cached; a rate-vs-buffer sweep thus repeats no scan.
 
 The window-constrained optimum is exact while every candidate's state vector
 fits the budget; larger candidates fall back to the best known lower bound
-and the result is tagged accordingly.  A one-zero window (T, T - 1) is the
-run-length rule with d = T - 1, so it is always rated exactly, by its
-run-length root, and o_swc is never below o_rll (proof in o_swc).  Each zero
-count T - w is rated exactly once, at its shortest window that is rated
-exactly: a longer window with the same zero count has a strictly smaller
-capacity (proof in o_swc), so it is never the argmax and is neither solved
-nor, past the budget, bounded.
+and the result is tagged accordingly.  Two kinds of window need no state
+vector at any length.  A one-zero window (T, T - 1) is the run-length rule
+with d = T - 1, rated exactly by its run-length root, so o_swc is never
+below o_rll (proof in o_swc).  A one-one window (T, 1) is the zero-run rule
+with k = T - 1, rated exactly by its zero-run root.  Each zero count T - w
+is rated exactly once, at its shortest window that is rated exactly: a
+longer window with the same zero count has a strictly smaller capacity
+(proof in o_swc), so it is never the argmax and is neither solved nor, past
+the budget, bounded.  A zero count z that is only bounded is bounded at
+every window up to length (DEFAULT_M_MAX + 1) * z, and past that length only
+at its first window, as the bound does not increase there (proof in o_swc).
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .bounds import entropy_ceiling, sandwich_bounds, swc_lower_bound
+from .bounds import DEFAULT_M_MAX, entropy_ceiling, sandwich_bounds, swc_lower_bound
 from .capacity import (
     DEFAULT_STATE_BUDGET,
     _fits_budget,
     rll_capacity,
     sec_capacity,
     swc_capacity_exact,
+    zero_run_capacity,
 )
 from .energy import (
     EnergyModel,
@@ -116,13 +121,15 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     """Best sliding-window rate with zero outages.
 
     Maximizes the exact window capacity over the outage-free candidate family.
-    A one-zero window is rated by its run-length root.  Other candidates
-    whose state vector exceeds the budget, or whose length is over the
-    solve's limit of 63, contribute their best lower bound instead, and the
-    result is then tagged "lower-bound".  Ties go to the smallest window.
-    Each zero count z = T - w is rated exactly only at its shortest
+    A one-zero window is rated by its run-length root, and a one-one window
+    (T, 1), T >= 3, by its zero-run root, whatever the budget.  Other
+    candidates whose state vector exceeds the budget, or whose length is
+    over the solve's limit of 63, contribute their best lower bound instead,
+    and the result is then tagged "lower-bound".  Ties go to the smallest
+    window.  Each zero count z = T - w is rated exactly only at its shortest
     candidate that is rated exactly; the longer ones with the same z cannot
-    win and are rated zero unsolved, also past the budget.
+    win and are rated zero unsolved, also past the budget.  A zero count
+    that is only bounded is bounded once past T = (DEFAULT_M_MAX + 1) * z.
 
     Proof that the optimum depends on the model only through (b, z),
     z = floor(e_max / b).  With e_init = e_max and T - w an integer,
@@ -141,25 +148,48 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     T-window holds all z + 1 of its zeros.  The (T', T' - z) class graph is
     irreducible (proved in _swc_spectral), so its proper subshift has
     strictly smaller entropy (Lind-Marcus, Cor. 4.4.9): C(T, T - z) <
-    C(T', T' - z).  The scan visits T in ascending order, and _fits_budget
-    admits every shorter window when it admits T, so (T', T' - z) was solved
-    first, with a positive rate.  _best keeps the first candidate on ties,
-    so rating the longer window zero changes neither the value nor the
-    params, and ties still go to the smallest window.  The same holds for a
-    longer window past the budget: its fallback bound is at most
-    C(T, T - z) < C(T', T' - z), a rate already solved exactly, so it can
-    neither win nor make the optimum inexact, and it is rated zero unbounded.
-    A fallback candidate whose zero count has not been solved is rated by
-    its bound: the bounds are not monotone in T, so skipping one could lower
-    the reported bound.
+    C(T', T' - z).  The scan visits T in ascending order and marks a zero
+    count only once one of its windows is rated exactly, by a root or a
+    solve; so when a longer window finds its zero count marked, a shorter
+    one was rated exactly first, with a positive rate.  _best keeps the
+    first candidate on ties, so rating the longer window zero changes
+    neither the value nor the params, and ties still go to the smallest
+    window.  The same holds for a longer window past the budget: its
+    fallback bound is at most C(T, T - z) < C(T', T' - z), a rate already
+    rated exactly, so it can neither win nor make the optimum inexact, and
+    it is rated zero unbounded.  Up to T = (DEFAULT_M_MAX + 1) * z, a
+    fallback candidate whose zero count has not been rated exactly is rated
+    by its bound: the bounds are not monotone in T there, so skipping one
+    could lower the reported bound.
 
-    Proof that o_swc is never below o_rll.  A one-zero window (t, t - 1)
-    is rated rll_capacity(t - 1), exactly and with no class graph, whatever
-    the budget: RLL(d) = SWC(d + 1, d), since both say that any two zeros
-    are at least d ones apart.  Let d = ceil(b / (1 - b)), o_rll's run
-    length, and let e_max >= b, so z >= 1 (else o_rll is zero).  Each T
-    below d + 1 = ceil(1 / (1 - b)) has T * b > T - 1, so its candidate has
-    w = T and rate zero.  At T = d + 1 the weight max(ceil((d + 1) * b),
+    Proof that past T = (DEFAULT_M_MAX + 1) * z only the first fallback of
+    each zero count z can matter.  swc_lower_bound's split m is used when
+    ceil(w/m) <= floor(T/(m+1)), which needs (m+1) w <= m T, that is
+    (m+1)(T - z) <= m T, or T <= (m+1) z; so no split m <= DEFAULT_M_MAX is
+    used past that length, and the fallback is the larger of
+    sec(T - 1, T - 1 - floor(z/2)) and T/(2T - z) * sec(T, T - z), with
+    sec the subblock capacity.  Each sec(L, L - k) with k fixed is the
+    running mean of the increments log2(2 - C(L, k)/S(L)), which do not
+    increase with L (proof in feasible_sec_candidates), so it does not
+    increase with L; and T/(2T - z) falls with T for z >= 1.  So the
+    fallback does not increase with T there: a later window of the zero
+    count can at most tie its first, and _best keeps the first on ties.
+    The later ones are rated zero unbounded, still as bounds, and the first
+    has already tagged the optimum "lower-bound".  In floats too: with
+    z/T < 1/9 the bounds stay far below 1, and the bounds of consecutive
+    lengths differ by a relative amount of order 1/T, far above rounding.
+
+    Proof that the roots rate their windows exactly.  A one-zero window
+    (t, t - 1) is rated rll_capacity(t - 1), exactly and with no class
+    graph, whatever the budget: RLL(d) = SWC(d + 1, d), since both say that
+    any two zeros are at least d ones apart.  A one-one window (t, 1) with
+    t >= 3 is rated zero_run_capacity(t): a t-window holds a 1 exactly when
+    no t zeros are in a row.  (2, 1) is both, and keeps the run-length root.
+
+    Proof that o_swc is never below o_rll.  Let d = ceil(b / (1 - b)),
+    o_rll's run length, and let e_max >= b, so z >= 1 (else o_rll is zero).
+    Each T below d + 1 = ceil(1 / (1 - b)) has T * b > T - 1, so its
+    candidate has w = T and rate zero.  At T = d + 1 the weight max(ceil((d + 1) * b),
     d + 1 - z) is d: (d + 1) * b <= d as d >= b / (1 - b), and
     (d + 1) * b > d - 1 as d < b / (1 - b) + 1 < (1 + b) / (1 - b).  So the
     first one-zero candidate is (d + 1, d), within the pivot
@@ -173,17 +203,27 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
 def _o_swc(b: Fraction, z: int, state_budget: int) -> OutageResult:
     """o_swc on the full-buffer model that funds exactly z zeros in a row."""
     model = EnergyModel(b=b, e_max=z * b, e_init=z * b)
+    # zero counts rated exactly, and zero counts bounded past the split range
     solved: set[int] = set()
+    bounded: set[int] = set()
 
     def rate(t: int, w: int) -> tuple[float, bool]:
-        if t - w in solved:
+        zeros = t - w
+        if zeros in solved:
             return 0.0, True
-        if t - w == 1:
+        if zeros == 1:
             solved.add(1)
             return rll_capacity(w).value, True
+        if w == 1 < t:
+            solved.add(zeros)
+            return zero_run_capacity(t).value, True
         if not _fits_budget(t, w, state_budget):
+            if t > (DEFAULT_M_MAX + 1) * zeros:
+                if zeros in bounded:
+                    return 0.0, False
+                bounded.add(zeros)
             return _swc_fallback(t, w)
-        solved.add(t - w)
+        solved.add(zeros)
         return swc_capacity_exact(t, w, state_budget=state_budget).value, True
 
     return _best(model, feasible_swc_candidates(model), rate)

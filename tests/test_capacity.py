@@ -32,6 +32,7 @@ from capcomp.capacity import (
     _swc_spectral,
     _window_tables,
     swc_capacities_exact,
+    zero_run_capacity,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -67,6 +68,48 @@ class TestRunLengthCapacity:
             )
             oracle = float(mpmath.log(root, 2))
         assert abs(rll_capacity(d).value - oracle) < 1e-11
+
+
+class TestZeroRunCapacity:
+    """SWC(T, 1) is the (0, T - 1) run-length rule: log2 of the root of X^T (2 - X) = 1."""
+
+    def test_matches_a_high_precision_root(self):
+        # near rate 1 the root crowds 2, so the oracle solves for
+        # v = ln(2 - X), which 50 digits hold relative to its own size at any
+        # T; the largest X is the root between -T ln 2 and -T ln 2 / 2
+        worst = 0.0
+        with mpmath.workdps(50):
+            for t in range(2, 2001):
+                v = mpmath.findroot(
+                    lambda v: t * mpmath.log(2 - mpmath.exp(v)) + v,
+                    (-t * mpmath.ln2, -t * mpmath.ln2 / 2),
+                    solver="anderson",
+                )
+                oracle = mpmath.log(2 - mpmath.exp(v), 2)
+                worst = max(worst, abs(float(oracle - zero_run_capacity(t).value)))
+        assert worst < 1e-13
+
+    def test_lies_in_the_spectral_bracket(self):
+        for t in range(2, 22):
+            spectral = swc_capacity_exact(t, 1)
+            lo, hi = bracket(spectral)
+            assert lo <= zero_run_capacity(t).value <= hi, t
+
+    def test_two_bit_window_is_the_golden_ratio(self):
+        # (2, 1) is also the run-length rule d = 1
+        res = zero_run_capacity(2)
+        assert res.method == "closed-form"
+        assert abs(res.value - math.log2(GOLDEN)) < 1e-15
+
+    def test_strictly_increasing_below_one(self):
+        values = [zero_run_capacity(t).value for t in range(2, 40)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert values[-1] < 1.0
+        assert zero_run_capacity(100_000).value == 1.0
+
+    def test_rejects_t_below_two(self):
+        with pytest.raises(ValueError):
+            zero_run_capacity(1)
 
 
 class TestSubblockCapacity:

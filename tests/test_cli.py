@@ -379,7 +379,8 @@ class TestConfig:
     def test_budget_past_the_int64_keys_bounds_the_long_windows(
         self, capsys, monkeypatch, cold_caches
     ):
-        # the budget covers 2^65 states, but windows from T = 64 on are bounded
+        # the budget covers 2^65 states, but windows from T = 64 on are
+        # bounded: at b = 1/40 those have w >= 2, so no root rates them
         bounded = []
 
         def record(t, w):
@@ -390,10 +391,10 @@ class TestConfig:
         monkeypatch.setattr(outage, "_swc_fallback", record)
         budget = str(46116860184273879040)
         rc, out, err = run(
-            capsys, "outage", "--family", "swc", "--b", "1/100", "--emax", "1",
+            capsys, "outage", "--family", "swc", "--b", "1/40", "--emax", "2",
             "--state-budget", budget,
         )
-        assert (rc, out, err) == (0, "1.000000 (T=98, w=1) [lower-bound]\n", "")
+        assert (rc, out, err) == (0, "1.000000 (T=40, w=1) [lower-bound]\n", "")
         assert min(bounded) == 64
 
     def test_unconverged_power_iteration_is_an_error(self, capsys, monkeypatch, cold_caches):

@@ -1,5 +1,6 @@
 """Battery model: parsing, simulation, feasibility, candidate families."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,7 @@ from capcomp import (
     swc_feasible,
 )
 from capcomp.constraints import SWC, _words
-from capcomp.energy import _outage_words, _run
+from capcomp.energy import _outage_words, _pivot, _pivot_scan, _run, _zeros
 from capcomp.verify import _OUTAGE_GRID, MODEL_B_GRID, MODEL_EMAX_GRID
 
 
@@ -284,6 +285,58 @@ class TestFeasibility:
             rll_feasible(0, model("1/2", "1"))
         with pytest.raises(ValueError):
             swc_feasible(3, 4, model("1/2", "1"))
+
+
+# the thresholds in Fractions, as the paper states them; the module tests
+# them on the scaled integers
+def fraction_rll(d, m):
+    return d >= math.ceil(m.b / (1 - m.b)) and m.e_init >= m.b
+
+
+def fraction_swc(t, w, m):
+    return w >= math.ceil(t * m.b) and m.e_init >= (t - w) * m.b
+
+
+def fraction_sec(length, w, m):
+    return fraction_swc(length, w, m) and m.e_max >= 2 * (length - w) * m.b
+
+
+def fraction_scan(m, z, feasible):
+    pivot = math.ceil(z / (1 - m.b))
+    spans = ((span, max(math.ceil(span * m.b), span - z)) for span in range(1, pivot + 1))
+    return [(span, w) for span, w in spans if feasible(span, w, m)]
+
+
+@st.composite
+def partial_models(draw):
+    # draws b = p/q and e_max, and a starting charge anywhere in [0, e_max]
+    q = draw(st.integers(2, 20))
+    b = Fraction(draw(st.integers(1, q - 1)), q)
+    e_max = Fraction(draw(st.integers(0, 60)), draw(st.integers(1, 12)))
+    e_init = e_max * Fraction(draw(st.integers(0, 6)), 6)
+    return EnergyModel(b=b, e_max=e_max, e_init=e_init)
+
+
+class TestIntegerThresholds:
+    """The predicates on the scaled integers agree with their Fraction formulas."""
+
+    @given(m=partial_models(), d=st.integers(1, 40), t=st.integers(1, 40), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_predicates(self, m, d, t, data):
+        w = data.draw(st.integers(1, t))
+        assert rll_feasible(d, m) == fraction_rll(d, m)
+        assert swc_feasible(t, w, m) == fraction_swc(t, w, m)
+        assert sec_feasible(t, w, m) == fraction_sec(t, w, m)
+
+    @given(m=partial_models())
+    @settings(max_examples=100, deadline=None)
+    def test_zero_counts_pivots_and_scans(self, m):
+        pairs = ((1, swc_feasible, fraction_swc), (2, sec_feasible, fraction_sec))
+        for shares, feasible, reference in pairs:
+            z = _zeros(m, shares)
+            assert z == math.floor(m.e_max / (shares * m.b))
+            assert _pivot(m, z) == math.ceil(z / (1 - m.b))
+            assert _pivot_scan(m, z, feasible) == fraction_scan(m, z, reference)
 
 
 class TestCandidates:

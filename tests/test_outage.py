@@ -30,7 +30,8 @@ from capcomp import (
     swc_capacity_exact,
     swc_feasible,
 )
-from capcomp.capacity import DEFAULT_STATE_BUDGET, _fits_budget
+from capcomp.bounds import DEFAULT_M_MAX
+from capcomp.capacity import DEFAULT_STATE_BUDGET, _fits_budget, zero_run_capacity
 from capcomp.outage import _best, _swc_fallback
 
 B_GRID = ("1/4", "1/2", "3/5", "3/4")
@@ -98,9 +99,12 @@ class TestZeroCountSkip:
         budget = 1 << 12
 
         def rate(t, w):
-            # a one-zero window is the run-length rule d = t - 1
+            # a one-zero window is the run-length rule d = t - 1, and a
+            # one-one window the zero-run rule k = t - 1
             if w == t - 1:
                 return rll_capacity(w).value, True
+            if w == 1 < t:
+                return zero_run_capacity(t).value, True
             if _fits_budget(t, w, budget):
                 return swc_capacity_exact(t, w, state_budget=budget).value, True
             return _swc_fallback(t, w)
@@ -171,8 +175,10 @@ class TestZeroCountSkip:
         assert solved == []
 
     def test_dominated_fallbacks_are_not_bounded(self, monkeypatch, cold_caches):
-        # past the budget, a window whose zero count was solved exactly at a
-        # shorter length can neither win nor make the optimum inexact
+        # past the budget, a window whose zero count was rated exactly at a
+        # shorter length can neither win nor make the optimum inexact; past
+        # the split range, T > (DEFAULT_M_MAX + 1) * z, only the first window
+        # of each zero count z is bounded, as the bounds fall with T there
         bounded = []
 
         def record(t, w):
@@ -182,13 +188,67 @@ class TestZeroCountSkip:
         monkeypatch.setattr(outage, "_swc_fallback", record)
         m = model("19/20", "10")
         candidates = feasible_swc_candidates(m)
-        solved = {t - w for t, w in candidates if _fits_budget(t, w, DEFAULT_STATE_BUDGET)}
         over = [(t, w) for t, w in candidates if not _fits_budget(t, w, DEFAULT_STATE_BUDGET)]
+        firsts = {}
+        for t, w in over:
+            firsts.setdefault(t - w, (t, w))
         res = o_swc(m)
         assert len(over) == 179
-        assert bounded == [(t, w) for t, w in over if t - w not in solved]
-        assert len(bounded) == 161
+        # zero count 1 is rated by the run-length root, unbounded
+        assert bounded == [firsts[z] for z in range(2, 11)]
+        assert all(t > (DEFAULT_M_MAX + 1) * (t - w) for t, w in over)
         assert (res.params, res.method) == ((20, 19), "lower-bound")
+
+
+class TestOneBoundPerZeroCount:
+    """Past T = (DEFAULT_M_MAX + 1) * z the fallback of a zero count z does not rise."""
+
+    def test_fallbacks_do_not_rise_past_the_split_range(self):
+        rises_below = []
+        for z in range(1, 41):
+            split = (DEFAULT_M_MAX + 1) * z
+            bounds = [_swc_fallback(t, t - z)[0] for t in range(z + 1, split + 61)]
+            past = bounds[split - z :]
+            assert all(a >= b for a, b in zip(past, past[1:])), z
+            if any(a < b for a, b in zip(bounds[: split - z], bounds[1 : split - z])):
+                rises_below.append(z)
+        # the splits make the bounds rise below that length, so the rule
+        # needs its threshold
+        assert rises_below
+
+    def test_inside_the_split_range_every_window_is_bounded(self):
+        # at b = 5/13, e_max = 10 and a budget of 64 states, zero count 24 is
+        # bounded at (39, 15) and, higher, at (40, 16), well inside its split
+        # range; (41, 16) of zero count 25 ties (40, 16), so bounding zero
+        # count 24 only once would report the longer window
+        assert _swc_fallback(39, 15)[0] < _swc_fallback(40, 16)[0] == _swc_fallback(41, 16)[0]
+        res = o_swc(model("5/13", "10"), state_budget=1 << 6)
+        assert (res.value, res.params) == (_swc_fallback(40, 16)[0], (40, 16))
+
+    def test_draw_sweep_rows_solve_no_window(self, monkeypatch, capsys, cold_caches):
+        # the benchmark's two rows of the rate-vs-draw sweep: every window
+        # rated exactly is rated by a root, and at b = 19/20 each zero count
+        # from 2 to 10 is bounded at one window
+        solved, bounded = [], []
+        follower_classes, fallback = capacity._follower_classes, outage._swc_fallback
+
+        def solve(t, w):
+            solved.append((t, w))
+            return follower_classes(t, w)
+
+        def bound(t, w):
+            bounded.append((t, w))
+            return fallback(t, w)
+
+        monkeypatch.setattr(capacity, "_follower_classes", solve)
+        monkeypatch.setattr(outage, "_swc_fallback", bound)
+        for b in ("1/20", "19/20"):
+            bounded.clear()
+            argv = ["--vary", "b", "--emax", "10", "--from", b, "--to", b, "--step", "1/20"]
+            assert cli.main(["sweep", *argv]) == 0
+        capsys.readouterr()
+        assert solved == []
+        assert sorted(t - w for t, w in bounded) == list(range(2, 11))
 
 
 class TestOptimumPerZeroCount:
@@ -206,9 +266,12 @@ class TestOptimumPerZeroCount:
 
     def test_windows_depend_on_the_zero_count_only(self):
         def rate(t, w):
-            # a one-zero window is the run-length rule d = t - 1
+            # a one-zero window is the run-length rule d = t - 1, and a
+            # one-one window the zero-run rule k = t - 1
             if w == t - 1:
                 return rll_capacity(w).value, True
+            if w == 1 < t:
+                return zero_run_capacity(t).value, True
             if _fits_budget(t, w, self.BUDGET):
                 return swc_capacity_exact(t, w, state_budget=self.BUDGET).value, True
             return _swc_fallback(t, w)
@@ -371,6 +434,20 @@ class TestOrderAndCeiling:
         # window is never below the best run length, past the budget too
         m = model(b, e_max)
         assert o_swc(m).value >= o_rll(m).value
+
+    def test_window_never_below_its_explicit_bound_on_small_draws(self):
+        # b = 1/q, e_max = z/q: the candidates are (T, 1) for T <= z + 1 <= q
+        # whatever q, so the pivot is (z + 1, 1) and the explicit bound is
+        # that window's fallback; z = q - 1 puts every T <= 300 at the pivot.
+        # Near rate 1 a root bisected on X itself falls below the bound.
+        for q in range(2, 301):
+            b = Fraction(1, q)
+            for z in sorted({1, q // 2, q - 1}):
+                m = model(b, Fraction(z, q))
+                swc = o_swc(m)
+                assert swc.value >= o_swc_lower_explicit(m).value, (q, z)
+                assert swc.value >= o_rll(m).value, (q, z)
+                assert swc.method == "exact", (q, z)
 
     def test_gap_report_fields(self):
         report = gap_report(model("3/5", "6/5"))
