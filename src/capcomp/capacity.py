@@ -17,6 +17,12 @@ and to the same bits as alone; a single window is a batch of one, and every
 answer is kept for the process, so no window is solved twice.  An
 independent growth-rate route (log-domain counting DP over all suffix states,
 gathering through a -inf sentinel slot) is the cross-check.
+
+swc_capacity is the one rule that rates a window exactly: the full window
+(T, T) is zero, the one-zero window (T, T - 1) takes the run-length root, the
+one-one window (T, 1) the zero-run root, all at any length, and every other
+window the spectral solve, within the state budget.  The spectral and growth
+routes stay apart from it, so that each can check the roots independently.
 """
 
 from __future__ import annotations
@@ -218,7 +224,8 @@ def _fits_budget(t: int, w: int, state_budget: int) -> bool:
     The spectral solve needs only C(t, w) classes, but the count stays
     2^(t-1): counting classes would solve more windows and change outputs.
     A window that does not fit is refused by _check_swc_args, and o_swc
-    rates it by its fallback bound instead.
+    rates it by its fallback bound instead, unless _has_exact_route finds a
+    root for it.
     """
     return w == t or (t <= _MAX_WINDOW and 1 << (t - 1) <= state_budget)
 
@@ -454,6 +461,36 @@ def swc_capacities_exact(
         (t, w): CapacityResult(value=0.0, method="closed-form") if w == t else _SPECTRAL[t, w, tol]
         for t, w in windows
     }
+
+
+def _has_exact_route(t: int, w: int, state_budget: int) -> bool:
+    """Whether swc_capacity answers (t, w) under the budget: a root, the full window or a solve."""
+    return w in (1, t - 1) or _fits_budget(t, w, state_budget)
+
+
+def swc_capacity(t: int, w: int, state_budget: int = DEFAULT_STATE_BUDGET) -> CapacityResult:
+    """The exact (t, w) window capacity, by the one route each window has.
+
+    The full window (t, t) is the closed-form zero.  A one-zero window
+    (t, t - 1) is rll_capacity(t - 1), and a one-one window (t, 1) with
+    t >= 3 is zero_run_capacity(t): both at any length, with no class graph
+    and whatever the budget.  Every other window is swc_capacity_exact's
+    spectral solve, which raises ResourceLimitError past the budget or past
+    length _MAX_WINDOW; _has_exact_route says which windows are answered.
+
+    Proof that the roots rate their windows exactly.  RLL(d) = SWC(d + 1, d),
+    since both say that any two zeros are at least d ones apart, so the
+    one-zero window (t, t - 1) has the run-length capacity with d = t - 1.
+    A t-window holds a 1 exactly when no t zeros are in a row, so the
+    one-one window (t, 1) is the zero-run rule whose root zero_run_capacity
+    bisects.  (2, 1) is both, and takes the run-length root.
+    """
+    _check_pair(t, w, "swc")
+    if w == t - 1:
+        return rll_capacity(w)
+    if w == 1 < t:
+        return zero_run_capacity(t)
+    return swc_capacity_exact(t, w, state_budget)
 
 
 def swc_capacity_growth(

@@ -48,7 +48,7 @@ def _outage_text(result: outage.OutageResult, family: str) -> str:
 
 
 def _swc_capacity(spec: constraints.SWC, args: argparse.Namespace):
-    route = capacity.swc_capacity_growth if args.growth else capacity.swc_capacity_exact
+    route = capacity.swc_capacity_growth if args.growth else capacity.swc_capacity
     return route(spec.t, spec.w, state_budget=args.state_budget)
 
 
@@ -126,6 +126,10 @@ def _sweep_grid(start: Fraction, stop: Fraction, step: Fraction) -> list[Fractio
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.vary == "emax" and args.b is None:
+        raise ValueError("sweep --vary emax needs a fixed --b")
+    if args.vary == "b" and args.emax is None:
+        raise ValueError("sweep --vary b needs a fixed --emax")
     grid = _sweep_grid(
         parse_rational(args.start), parse_rational(args.stop), parse_rational(args.step)
     )
@@ -278,11 +282,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            if args.vary == "emax" and args.b is None:
-                raise ValueError("sweep --vary emax needs a fixed --b")
-            if args.vary == "b" and args.emax is None:
-                raise ValueError("sweep --vary b needs a fixed --emax")
         return args.func(args)
     except (ValueError, TypeError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

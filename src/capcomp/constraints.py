@@ -62,8 +62,9 @@ class _Family:
     membership test on a checked bit string), ``_accepts_words`` (the same
     test on an array of n-bit words, as a bool mask), ``_count`` (the exact
     count, from the formula behind the family's capacity), ``_feasible``
-    (the zero-outage condition) and ``_witness`` (one period of a draining
-    sequence, for infeasible models).
+    (the zero-outage condition), ``_witness`` (one period of a draining
+    sequence, for infeasible models) and ``_period`` (that period's length,
+    from the fields alone, so a too-long witness is refused unbuilt).
     """
 
     family: ClassVar[str]
@@ -143,6 +144,9 @@ class RLL(_Family):
     def _witness(self, model: EnergyModel) -> str:
         return "0" + "1" * self.d
 
+    def _period(self) -> int:
+        return self.d + 1
+
 
 @dataclass(frozen=True)
 class SWC(_Family):
@@ -202,6 +206,9 @@ class SWC(_Family):
             return "1" * self.w + "0" * (self.t - self.w)
         return "0" * (self.t - self.w) + "1" * self.w
 
+    def _period(self) -> int:
+        return self.t
+
 
 @dataclass(frozen=True)
 class SEC(_Family):
@@ -257,6 +264,9 @@ class SEC(_Family):
         if short_start and self._feasible(model.with_full_buffer()):
             return zeros_first + ones_first
         return ones_first + zeros_first
+
+    def _period(self) -> int:
+        return 2 * self.length
 
 
 ConstraintSpec = RLL | SWC | SEC
@@ -331,16 +341,16 @@ def adversarial_sequence(
     or buffer is attacked ones-first so harvested energy overflows before the
     zeros arrive.  Raises NoWitnessError when every valid sequence is
     outage-free, since no witness can exist, and ResourceLimitError when the
-    sequence would be longer than _MAX_WITNESS_BITS.
+    sequence would be longer than _MAX_WITNESS_BITS, before any of it is
+    built.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if spec._feasible(model):
         raise NoWitnessError(f"{spec} avoids outage under {model}")
-    period = spec._witness(model)
-    if len(period) * repetitions > _MAX_WITNESS_BITS:
+    if spec._period() * repetitions > _MAX_WITNESS_BITS:
         raise ResourceLimitError(
-            f"a witness of {repetitions} repetitions of {len(period)} bits is over "
+            f"a witness of {repetitions} repetitions of {spec._period()} bits is over "
             f"the limit of {_MAX_WITNESS_BITS} bits"
         )
-    return period * repetitions
+    return spec._witness(model) * repetitions

@@ -12,17 +12,16 @@ z2 = floor(E_max / (2B)) (proofs in o_swc and o_sec).  Each is computed once
 per (B, z) or (B, z2), on the canonical model whose buffer holds exactly
 that many draws, and cached; a rate-vs-buffer sweep thus repeats no scan.
 
-The window-constrained optimum is exact while every candidate's state vector
-fits the budget; larger candidates fall back to the best known lower bound
-and the result is tagged accordingly.  Two kinds of window need no state
-vector at any length.  A one-zero window (T, T - 1) is the run-length rule
-with d = T - 1, rated exactly by its run-length root, so o_swc is never
-below o_rll (proof in o_swc).  A one-one window (T, 1) is the zero-run rule
-with k = T - 1, rated exactly by its zero-run root.  Each zero count T - w
-is rated exactly once, at its shortest window that is rated exactly: a
-longer window with the same zero count has a strictly smaller capacity
-(proof in o_swc), so it is never the argmax and is neither solved nor, past
-the budget, bounded.  A zero count z that is only bounded is bounded at
+The window-constrained optimum rates each candidate by capacity.swc_capacity
+wherever that has an exact route: a root for the one-zero window (T, T - 1)
+and the one-one window (T, 1) at any length, so o_swc is never below o_rll
+(proof in o_swc), and the spectral solve for a window whose state vector
+fits the budget.  Other candidates fall back to the best known lower bound
+and the result is tagged accordingly.  Each zero count T - w is rated
+exactly once, at its shortest window that is rated exactly: a longer window
+with the same zero count has a strictly smaller capacity (proof in o_swc),
+so it is never the argmax and is neither solved nor, past the budget,
+bounded.  A zero count z that is only bounded is bounded at
 every window up to length (DEFAULT_M_MAX + 1) * z, and past that length only
 at its first window, as the bound does not increase there (proof in o_swc).
 """
@@ -38,11 +37,10 @@ from functools import lru_cache
 from .bounds import DEFAULT_M_MAX, entropy_ceiling, sandwich_bounds, swc_lower_bound
 from .capacity import (
     DEFAULT_STATE_BUDGET,
-    _fits_budget,
+    _has_exact_route,
     rll_capacity,
     sec_capacity,
-    swc_capacity_exact,
-    zero_run_capacity,
+    swc_capacity,
 )
 from .energy import (
     EnergyModel,
@@ -117,19 +115,28 @@ def _swc_fallback(t: int, w: int) -> tuple[float, bool]:
     return max(swc_lower_bound(t, w).value, sandwich_bounds(t, w)[0]), False
 
 
+def _swc_rate(t: int, w: int, state_budget: int) -> tuple[float, bool]:
+    """The window's exact capacity where swc_capacity has a route for it, else its fallback."""
+    if _has_exact_route(t, w, state_budget):
+        return swc_capacity(t, w, state_budget).value, True
+    return _swc_fallback(t, w)
+
+
 def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> OutageResult:
     """Best sliding-window rate with zero outages.
 
     Maximizes the exact window capacity over the outage-free candidate family.
-    A one-zero window is rated by its run-length root, and a one-one window
-    (T, 1), T >= 3, by its zero-run root, whatever the budget.  Other
-    candidates whose state vector exceeds the budget, or whose length is
-    over the solve's limit of 63, contribute their best lower bound instead,
-    and the result is then tagged "lower-bound".  Ties go to the smallest
-    window.  Each zero count z = T - w is rated exactly only at its shortest
-    candidate that is rated exactly; the longer ones with the same z cannot
-    win and are rated zero unsolved, also past the budget.  A zero count
-    that is only bounded is bounded once past T = (DEFAULT_M_MAX + 1) * z.
+    Each candidate is rated by capacity.swc_capacity where that has an exact
+    route: a one-zero window by its run-length root, and a one-one window
+    (T, 1), T >= 3, by its zero-run root, whatever the budget (proofs in
+    swc_capacity).  Other candidates whose state vector exceeds the budget,
+    or whose length is over the solve's limit of 63, contribute their best
+    lower bound instead, and the result is then tagged "lower-bound".  Ties
+    go to the smallest window.  Each zero count z = T - w is rated exactly
+    only at its shortest candidate that is rated exactly; the longer ones
+    with the same z cannot win and are rated zero unsolved, also past the
+    budget.  A zero count that is only bounded is bounded once past
+    T = (DEFAULT_M_MAX + 1) * z.
 
     Proof that the optimum depends on the model only through (b, z),
     z = floor(e_max / b).  With e_init = e_max and T - w an integer,
@@ -175,16 +182,12 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     fallback does not increase with T there: a later window of the zero
     count can at most tie its first, and _best keeps the first on ties.
     The later ones are rated zero unbounded, still as bounds, and the first
-    has already tagged the optimum "lower-bound".  In floats too: with
+    has already tagged the optimum "lower-bound".  None of them has an
+    exact route: their weight T - z exceeds the first's, which is at least
+    2, so neither root applies, and a budget that refused the first refuses
+    every longer window.  In floats too: with
     z/T < 1/9 the bounds stay far below 1, and the bounds of consecutive
     lengths differ by a relative amount of order 1/T, far above rounding.
-
-    Proof that the roots rate their windows exactly.  A one-zero window
-    (t, t - 1) is rated rll_capacity(t - 1), exactly and with no class
-    graph, whatever the budget: RLL(d) = SWC(d + 1, d), since both say that
-    any two zeros are at least d ones apart.  A one-one window (t, 1) with
-    t >= 3 is rated zero_run_capacity(t): a t-window holds a 1 exactly when
-    no t zeros are in a row.  (2, 1) is both, and keeps the run-length root.
 
     Proof that o_swc is never below o_rll.  Let d = ceil(b / (1 - b)),
     o_rll's run length, and let e_max >= b, so z >= 1 (else o_rll is zero).
@@ -193,8 +196,9 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     d + 1 - z) is d: (d + 1) * b <= d as d >= b / (1 - b), and
     (d + 1) * b > d - 1 as d < b / (1 - b) + 1 < (1 + b) / (1 - b).  So the
     first one-zero candidate is (d + 1, d), within the pivot
-    ceil(z / (1 - b)) >= d + 1 and feasible; it is rated rll_capacity(d),
-    o_rll's value bit for bit, and _best cannot report less.
+    ceil(z / (1 - b)) >= d + 1 and feasible; swc_capacity rates it
+    rll_capacity(d), o_rll's value bit for bit, and _best cannot report
+    less.
     """
     return _o_swc(model.b, _zeros(model, 1), state_budget)
 
@@ -211,20 +215,14 @@ def _o_swc(b: Fraction, z: int, state_budget: int) -> OutageResult:
         zeros = t - w
         if zeros in solved:
             return 0.0, True
-        if zeros == 1:
-            solved.add(1)
-            return rll_capacity(w).value, True
-        if w == 1 < t:
+        if zeros in bounded:
+            return 0.0, False
+        value, exact = _swc_rate(t, w, state_budget)
+        if exact:
             solved.add(zeros)
-            return zero_run_capacity(t).value, True
-        if not _fits_budget(t, w, state_budget):
-            if t > (DEFAULT_M_MAX + 1) * zeros:
-                if zeros in bounded:
-                    return 0.0, False
-                bounded.add(zeros)
-            return _swc_fallback(t, w)
-        solved.add(zeros)
-        return swc_capacity_exact(t, w, state_budget=state_budget).value, True
+        elif t > (DEFAULT_M_MAX + 1) * zeros:
+            bounded.add(zeros)
+        return value, exact
 
     return _best(model, feasible_swc_candidates(model), rate)
 

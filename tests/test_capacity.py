@@ -19,6 +19,7 @@ from capcomp import (
     sec_capacity,
     sec_feasible,
     sec_one_zero_capacity,
+    swc_capacity,
     swc_capacity_exact,
     swc_capacity_growth,
     swc_feasible,
@@ -360,6 +361,39 @@ class TestWindowCapacity:
         monkeypatch.setattr("capcomp.capacity._MAX_GROWTH_N", 12)
         with pytest.raises(ResourceLimitError, match=r"\(6, 4\).*last delta"):
             swc_capacity_growth(6, 4)
+
+
+class TestOneWindowRule:
+    """swc_capacity: the full window, the two roots, and the spectral solve."""
+
+    def test_each_window_takes_its_route(self):
+        budget = 1 << 6
+        for t in range(1, 12):
+            for w in range(1, t + 1):
+                routed = capacity._has_exact_route(t, w, budget)
+                if w == t:
+                    expect = swc_capacity_exact(t, w, budget)
+                elif w == t - 1:
+                    expect = rll_capacity(w)
+                elif w == 1:
+                    expect = zero_run_capacity(t)
+                elif not routed:
+                    with pytest.raises(ResourceLimitError, match="over the budget"):
+                        swc_capacity(t, w, budget)
+                    continue
+                else:
+                    expect = swc_capacity_exact(t, w, budget)
+                assert routed and swc_capacity(t, w, budget) == expect, (t, w)
+
+    def test_roots_need_no_budget_and_no_int64_keys(self):
+        assert swc_capacity(100, 99, 1) == rll_capacity(99)
+        assert swc_capacity(100, 1, 1) == zero_run_capacity(100)
+        assert swc_capacity(100, 100, 1).value == 0.0
+        assert not capacity._has_exact_route(64, 62, 1 << 64)
+
+    def test_rejects_a_bad_pair(self):
+        with pytest.raises(ValueError, match="1 <= w <= t"):
+            swc_capacity(1, 0)
 
 
 class TestBinaryEntropy:

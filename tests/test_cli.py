@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from capcomp import ResourceLimitError, cli, outage, verify
+from capcomp import ResourceLimitError, capacity, cli, outage, verify
 
 # recorded command outputs
 DATA = Path(__file__).resolve().parent / "data"
@@ -34,8 +34,25 @@ class TestCapacity:
         )
         record = json.loads(out)
         assert rc == 0
-        assert record["method"] == "spectral"
+        # a one-zero window is rated by its run-length root
+        assert record["method"] == "closed-form"
         assert abs(record["value"] - 0.5514630897455957) < 1e-8
+
+    @pytest.mark.parametrize(
+        "t,w,flags,expect",
+        [
+            (30, 1, [], lambda: capacity.zero_run_capacity(30)),
+            (64, 63, ["--state-budget", "8"], lambda: capacity.rll_capacity(63)),
+        ],
+    )
+    def test_root_windows_answer_past_the_budget(self, capsys, t, w, flags, expect):
+        rc, out, err = run(
+            capsys, "capacity", "--family", "swc", "--t", str(t), "--w", str(w), "--json", *flags
+        )
+        assert (rc, err) == (0, "")
+        record = json.loads(out)
+        assert record["method"] == "closed-form"
+        assert record["value"] == expect().value
 
     def test_missing_parameter(self, capsys):
         rc, out, err = run(capsys, "capacity", "--family", "rll")
@@ -367,7 +384,7 @@ class TestConfig:
     def test_window_past_the_int64_keys_is_an_error(self, capsys):
         rc, out, err = run(
             capsys,
-            "capacity", "--family", "swc", "--t", "64", "--w", "63",
+            "capacity", "--family", "swc", "--t", "64", "--w", "62",
             "--state-budget", str(1 << 64),
         )
         assert (rc, out) == (1, "")

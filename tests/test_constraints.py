@@ -257,6 +257,30 @@ class TestAdversarial:
             adversarial_sequence(SWC(17, 1), m, 61681)
         assert len(adversarial_sequence(SWC(17, 1), m, 61680)) == 17 * 61680
 
+    @pytest.mark.parametrize(
+        "spec,period",
+        [(RLL(10**8), 10**8 + 1), (SWC(10**8, 1), 10**8), (SEC(10**8, 1), 2 * 10**8)],
+    )
+    def test_overlong_period_is_refused_unbuilt(self, spec, period):
+        # one period alone is over the cap: building it first would take
+        # hundreds of megabytes
+        m = EnergyModel.make("1/2", "1/4")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"1 repetitions of {period} bits"):
+                adversarial_sequence(spec, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_period_is_the_witness_length(self):
+        for b, e_max, e_init in (("3/4", "2", "2"), ("1/2", "3", "1/4"), ("3/5", "1/2", "1/2")):
+            m = EnergyModel.make(b, e_max, e_init)
+            for spec in VERIFY_GRID:
+                if not spec._feasible(m):
+                    assert len(spec._witness(m)) == spec._period(), (spec, m)
+
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ValueError):
             adversarial_sequence(RLL(1), EnergyModel.make("3/5", "1"), 0)

@@ -1,10 +1,14 @@
 """Outage-free rate optimizers and their guarantees."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capcomp import (
@@ -27,11 +31,12 @@ from capcomp import (
     rll_capacity,
     sec_capacity,
     sec_feasible,
+    swc_capacity,
     swc_capacity_exact,
     swc_feasible,
 )
 from capcomp.bounds import DEFAULT_M_MAX
-from capcomp.capacity import DEFAULT_STATE_BUDGET, _fits_budget, zero_run_capacity
+from capcomp.capacity import DEFAULT_STATE_BUDGET, _fits_budget
 from capcomp.outage import _best, _swc_fallback
 
 B_GRID = ("1/4", "1/2", "3/5", "3/4")
@@ -97,17 +102,7 @@ class TestZeroCountSkip:
     @pytest.mark.parametrize("e_max", ["1/2", "1", "6/5", "5/2", "10"])
     def test_matches_an_argmax_that_solves_every_candidate(self, e_max):
         budget = 1 << 12
-
-        def rate(t, w):
-            # a one-zero window is the run-length rule d = t - 1, and a
-            # one-one window the zero-run rule k = t - 1
-            if w == t - 1:
-                return rll_capacity(w).value, True
-            if w == 1 < t:
-                return zero_run_capacity(t).value, True
-            if _fits_budget(t, w, budget):
-                return swc_capacity_exact(t, w, state_budget=budget).value, True
-            return _swc_fallback(t, w)
+        rate = partial(outage._swc_rate, state_budget=budget)
 
         for k in range(1, 20):
             m = model(Fraction(k, 20), e_max)
@@ -265,16 +260,7 @@ class TestOptimumPerZeroCount:
             yield EnergyModel(b=b, e_max=e_max, e_init=e_max / 2)
 
     def test_windows_depend_on_the_zero_count_only(self):
-        def rate(t, w):
-            # a one-zero window is the run-length rule d = t - 1, and a
-            # one-one window the zero-run rule k = t - 1
-            if w == t - 1:
-                return rll_capacity(w).value, True
-            if w == 1 < t:
-                return zero_run_capacity(t).value, True
-            if _fits_budget(t, w, self.BUDGET):
-                return swc_capacity_exact(t, w, state_budget=self.BUDGET).value, True
-            return _swc_fallback(t, w)
+        rate = partial(outage._swc_rate, state_budget=self.BUDGET)
 
         for k in range(1, 20):
             b = Fraction(k, 20)
@@ -434,6 +420,27 @@ class TestOrderAndCeiling:
         # window is never below the best run length, past the budget too
         m = model(b, e_max)
         assert o_swc(m).value >= o_rll(m).value
+
+    @given(
+        b=st.integers(2, 30).flatmap(
+            lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+        ),
+        e_max=st.sampled_from(["1/2", "1", "2", "5", "10"]),
+    )
+    @example(b=Fraction(3, 5), e_max="1")
+    @settings(max_examples=60, deadline=None)
+    def test_exact_optimum_is_the_window_capacity(self, b, e_max):
+        # an exact optimum is rated by the one window rule, so the library
+        # and the capacity command give its value bit for bit
+        res = o_swc(model(b, e_max))
+        assume(res.method == "exact" and res.params is not None)
+        t, w = res.params
+        assert swc_capacity(t, w).value == res.value
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["capacity", "--family", "swc", "--t", str(t), "--w", str(w), "--json"]
+            assert cli.main(argv) == 0
+        assert json.loads(out.getvalue())["value"] == res.value
 
     def test_window_never_below_its_explicit_bound_on_small_draws(self):
         # b = 1/q, e_max = z/q: the candidates are (T, 1) for T <= z + 1 <= q
