@@ -10,7 +10,9 @@ powers are the subblock counts.  Sliding-window capacity has no closed form; it 
 of the spectral radius of the window transfer graph, computed by power
 iteration on the C(T, w) follower-set classes of its 2^(T-1) suffix states
 and stopped on a certified Collatz-Wielandt bracket.  The classes are
-enumerated directly, so the solve allocates only C(T, w)-sized arrays.  One
+enumerated directly and their successor tables built a chunk at a time, so
+the solve's peak memory is 24 + 16(T - w)/T bytes per class, under 40: two
+index tables and two iterates, and no array longer than C(T, w).  One
 kernel solves a batch of windows in one power iteration over the disjoint
 union of their class graphs, each recorded at its own first closed bracket
 and to the same bits as alone; a single window is a batch of one, and every
@@ -68,17 +70,24 @@ _MAX_WINDOW = 63
 # 2^_CHECK_EVERY in between
 _CHECK_EVERY = 8
 
+# _follower_classes and _class_union work through their tables this many
+# classes at a time, so that their temporaries stay chunk-sized
+_CHUNK = 1 << 12
+
 
 @dataclass(frozen=True)
 class CapacityResult:
     """A capacity value plus how it was obtained.
 
     method is one of closed-form, spectral, dp-growth, lower-bound,
-    upper-bound.  residual is the bisection bracket width of a run-length
-    root, the width of the value bracket of a zero-run root, the certified
-    log2 bracket width for spectral (the capacity lies within residual/2 of
-    value), the last estimate delta for dp-growth, and 0.0 for the other
-    closed forms and for bounds.
+    upper-bound.  What residual bounds depends on the method:
+    - a run-length or zero-run root (closed-form): the width of a bracket on
+      the capacity, in log2, that holds value, so value is within residual
+      of the capacity;
+    - spectral: the width of the certified Collatz-Wielandt bracket in log2,
+      whose midpoint is value, so value is within residual/2 of the capacity;
+    - dp-growth: nothing certified; it is the last estimate delta;
+    - the other closed forms and the bounds: 0.0, as they carry no bracket.
     """
 
     value: float
@@ -112,13 +121,18 @@ def rll_capacity(d: int) -> CapacityResult:
     The polynomial is -1 at X=1 and 2^d - 1 >= 0 at X=2, and has exactly one
     real root above 1, so bisection on [1, 2] is safe.  Above 1 its sign is
     that of d*log2(X) + log2(X - 1), which is tested instead: X^d overflows
-    a float once d is in the thousands.
+    a float once d is in the thousands.  The root is bisected in X to
+    ROOT_TOL; residual is the width of the value bracket, log2(hi) -
+    log2(lo), which holds value, log2 of the X midpoint, as log2 increases.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     lo, hi = _bisect(1.0, 2.0, lambda x: d * math.log2(x) + math.log2(x - 1.0) < 0.0, ROOT_TOL)
-    root = 0.5 * (lo + hi)
-    return CapacityResult(value=math.log2(root), method="closed-form", residual=hi - lo)
+    return CapacityResult(
+        value=math.log2(0.5 * (lo + hi)),
+        method="closed-form",
+        residual=math.log2(hi) - math.log2(lo),
+    )
 
 
 def zero_run_capacity(t: int) -> CapacityResult:
@@ -252,9 +266,10 @@ def _popcount_strings(bits: int, k: int) -> np.ndarray:
     each extends in at least one way to a distinct k-subset of the bits.  For
     2k > bits the popcount-(bits-k) strings are built and complemented, which
     reverses their order, so no intermediate set is larger than the result.
+    The result is one contiguous array, so a binary search reads it in place.
     """
     if 2 * k > bits:
-        return ((1 << bits) - 1 - _popcount_strings(bits, bits - k))[::-1]
+        return np.subtract((1 << bits) - 1, _popcount_strings(bits, bits - k)[::-1])
     none = np.zeros(0, dtype=np.int64)
     rows = {0: np.zeros(1, dtype=np.int64)}
     for b in range(bits):
@@ -275,13 +290,20 @@ def _follower_classes(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     popcount-(w-1) state closes a window of weight w-1.  Appending bit c
     shifts it in and, when the popcount reaches w+1, clears the highest set
     bit; the result's index is found by binary search among the class keys.
-    No array is longer than C(t, w).
+
+    A class is keyed by its string, with bit t-1 set when its popcount is
+    w-1: so the keys are exactly the t-bit strings of popcount w, ascending
+    in class order, and they are built as one array, with at most three
+    key-sized arrays alive (_popcount_strings).  The tables are then filled
+    _CHUNK classes at a time, so the fill's temporaries are chunk-sized: it
+    holds the keys and the two tables, 16 + 8(t-w)/t bytes per class, as
+    len(succ0) = C(t-1, w) = C(t, w)(t-w)/t.
     """
     mask = (1 << (t - 1)) - 1
-    heavy = _popcount_strings(t - 1, w)
-    # a light class is keyed by its string with bit t-1 set, so the keys of
-    # all classes ascend in class order
-    keys = np.concatenate([heavy, _popcount_strings(t - 1, w - 1) | (mask + 1)])
+    keys = _popcount_strings(t, w)
+    heavy = math.comb(t - 1, w)
+    succ1 = np.empty(len(keys), dtype=np.int64)
+    succ0 = np.empty(heavy, dtype=np.int64)
 
     def successor(r: np.ndarray, c: int) -> np.ndarray:
         s = ((r << 1) & mask) | c
@@ -295,7 +317,14 @@ def _follower_classes(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
         s = np.where(pc > w, s ^ top, s)
         return np.searchsorted(keys, np.where(pc < w, s | (mask + 1), s))
 
-    return successor(keys & mask, 1), successor(heavy, 0)
+    for start in range(0, len(keys), _CHUNK):
+        r = keys[start : start + _CHUNK] & mask
+        succ1[start : start + len(r)] = successor(r, 1)
+        if start < heavy:
+            # the popcount-w classes lead, so a chunk's are its first ones
+            r = r[: heavy - start]
+            succ0[start : start + len(r)] = successor(r, 0)
+    return succ1, succ0
 
 
 def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,10 +333,14 @@ def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nda
     Returns sizes, succ1 and succ0.  Block (0, k) holds the sizes[0, k] =
     C(t-1, w) popcount-w classes of window k, block (1, k) its sizes[1, k] =
     C(t-1, w-1) others, and the blocks lie row by row: succ0 covers the
-    leading slice of popcount-w classes, as in _follower_classes.  Each
-    window's tables are moved to their blocks in place and then dropped.
+    leading slice of popcount-w classes, as in _follower_classes.  For a
+    batch of one that is the window's own layout, so its tables are the
+    union's.  Otherwise each window's tables are renumbered in place, a chunk
+    at a time, moved to their blocks and dropped.
     """
     sizes = np.array([[math.comb(t - 1, w - j) for t, w in windows] for j in (0, 1)])
+    if len(windows) == 1:
+        return sizes, *_follower_classes(*windows[0])
     first = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
     succ1 = np.empty(sizes.sum(), dtype=np.int64)
     succ0 = np.empty(sizes[0].sum(), dtype=np.int64)
@@ -315,8 +348,10 @@ def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nda
         (heavy, light), size = first[:, k], sizes[0, k]
         s1, s0 = _follower_classes(t, w)
         for succ in (s1, s0):
-            # class i of the window lies at heavy + i, or at light + i - size
-            succ += np.where(succ < size, heavy, light - size)
+            for start in range(0, len(succ), _CHUNK):
+                part = succ[start : start + _CHUNK]
+                # class i of the window lies at heavy + i, or at light + i - size
+                part += np.where(part < size, heavy, light - size)
         succ1[heavy : heavy + size] = s1[:size]
         succ1[light : light + sizes[1, k]] = s1[size:]
         succ0[heavy : heavy + size] = s0
@@ -340,6 +375,16 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     the same numbers as alone, whatever the other windows do; in particular
     a closed window can keep iterating, and no window drops out or is
     renumbered.
+
+    Memory.  The iteration holds the two successor tables, 8 + 8(t-w)/t
+    bytes per class of a window (t, w), since C(t-1, w) = C(t, w)(t-w)/t of
+    its classes have a 0-successor; two float iterates, 16 bytes per class;
+    and the gather through succ0 while it is added in, 8(t-w)/t.  The
+    ratios are written into the iterate just consumed, which is spent.  So
+    the peak is 24 + 16(t-w)/t bytes per class, under 40, besides
+    chunk-sized and per-window terms: 30.4 at (20, 12).  Building the tables
+    of a batch of one holds less (_follower_classes); a larger batch holds
+    the union's tables besides while each window is built.
 
     Proof that the follower-set quotient has the same spectral radius.  A
     suffix state p (the last t-1 bits) admits bit c iff popcount(p) + c >= w,
@@ -386,9 +431,10 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
         if n % _CHECK_EVERY and n < _MAX_POWER_ITER:
             vec = nxt
             continue
-        ratio = nxt / vec
-        lows = np.minimum.reduceat(ratio, starts).tolist()
-        highs = np.maximum.reduceat(ratio, starts).tolist()
+        # the ratios (Bx)_i / x_i, written over the iterate just consumed
+        np.divide(nxt, vec, out=vec)
+        lows = np.minimum.reduceat(vec, starts).tolist()
+        highs = np.maximum.reduceat(vec, starts).tolist()
         for k in range(count):
             if results[k] is None:
                 lo = math.log2(min(lows[k], lows[count + k]))
@@ -428,9 +474,10 @@ def swc_capacity_exact(
     bracket min/max (Bx)_i/x_i on the spectral radius is narrower than tol in
     log2.  The value is the bracket's midpoint and residual its width, so
     the capacity lies within residual/2 of value; _swc_spectral
-    proves the quotient exact and the bracket closing.  The solve allocates
-    only C(t, w)-sized arrays; the budget still counts 2^(t-1) suffix states
-    only so that every output stays the same.
+    proves the quotient exact and the bracket closing.  The solve holds at
+    most 24 + 16(t-w)/t bytes per class, under 40 and 30.4 at (20, 12), as
+    _swc_spectral shows; the budget still counts 2^(t-1) suffix states only
+    so that every output stays the same.
     Raises ResourceLimitError when the bracket is still wider than tol after
     _MAX_POWER_ITER iterations.  A batch of one of swc_capacities_exact, so
     each window is solved once per process and tol.

@@ -28,6 +28,7 @@ from capcomp import (
 from capcomp import capacity
 from capcomp.capacity import (
     SPECTRAL_TOL,
+    _class_union,
     _fits_budget,
     _follower_classes,
     _swc_spectral,
@@ -207,10 +208,11 @@ class TestWindowCapacity:
                 exact = mpmath.log(root, 2)
             lo, hi = bracket(swc_capacity_exact(d + 1, d))
             assert lo <= exact <= hi, d
-            # the bisection bracket [X - residual/2, X + residual/2]; X comes
-            # back from the log2 value a few ulps off the midpoint
+            # the value bracket [log2 lo, log2 hi] is residual wide; value,
+            # log2 of the X midpoint, lies above the bracket's midpoint by
+            # about (hi - lo)^2, far below the slack of a float log2
             rll = rll_capacity(d)
-            assert abs(root - 2**rll.value) <= rll.residual / 2 + 1e-15, d
+            assert abs(exact - rll.value) <= rll.residual / 2 + 1e-15, d
 
     def test_bracket_contains_the_dense_spectral_radius(self):
         for t in range(2, 11):
@@ -222,13 +224,41 @@ class TestWindowCapacity:
                 assert lo <= dense_window_capacity(t, w) <= hi, (t, w)
 
     def test_one_follower_class_per_weight_w_subset(self):
-        for t in range(2, 17):
-            for w in range(1, t):
-                succ1, succ0 = _follower_classes(t, w)
-                assert len(succ1) == math.comb(t, w), (t, w)
-                assert len(succ0) == math.comb(t - 1, w), (t, w)
-                ref1, ref0 = follower_classes_over_all_states(t, w)
-                assert succ1.tolist() == ref1 and succ0.tolist() == ref0, (t, w)
+        # (18, 9) and (18, 11) fill their tables over many chunks, with the
+        # popcount-w classes ending inside one
+        windows = [(t, w) for t in range(2, 17) for w in range(1, t)] + [(18, 9), (18, 11)]
+        assert math.comb(18, 11) > 4 * capacity._CHUNK
+        assert math.comb(17, 11) % capacity._CHUNK
+        for t, w in windows:
+            succ1, succ0 = _follower_classes(t, w)
+            assert len(succ1) == math.comb(t, w), (t, w)
+            assert len(succ0) == math.comb(t - 1, w), (t, w)
+            ref1, ref0 = follower_classes_over_all_states(t, w)
+            assert succ1.tolist() == ref1 and succ0.tolist() == ref0, (t, w)
+
+    def test_tables_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        windows = [(t, w) for t in range(2, 12) for w in range(1, t)]
+        whole = _class_union(windows)
+        tables = {window: _follower_classes(*window) for window in windows}
+        # chunks of 5 classes end anywhere in the popcount-w classes or past them
+        monkeypatch.setattr(capacity, "_CHUNK", 5)
+        for got, want in zip(_class_union(windows), whole):
+            assert np.array_equal(got, want)
+        for window, (succ1, succ0) in tables.items():
+            got1, got0 = _follower_classes(*window)
+            assert np.array_equal(got1, succ1) and np.array_equal(got0, succ0), window
+
+    def test_solve_holds_at_most_40_bytes_per_class(self, cold_caches):
+        # the two tables, the two iterates and the gather of succ0 come to
+        # 24 + 16 (t - w) / t bytes per class, 30.4 at (20, 12); the build
+        # before them holds less
+        tracemalloc.start()
+        try:
+            swc_capacity_exact(20, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * math.comb(20, 12)
 
     def test_solve_allocates_no_suffix_state_array(self, cold_caches):
         # one int64 array over the 2^20 suffix states of (21, 20) is 8 MB

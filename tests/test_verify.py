@@ -7,6 +7,7 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from capcomp import (
@@ -19,10 +20,22 @@ from capcomp import (
     satisfies,
     verify,
 )
+from capcomp.constraints import _words
 from capcomp.energy import _run
 from capcomp.verify import _OUTAGE_GRID, _spec_text, suite_bounds, suite_outage
 
 FEASIBLE_FAILURE = re.compile(r"feasible (.+) outages on ([01]+)")
+
+
+def test_long_subblock_words_are_block_concatenations():
+    # max_n = 0 puts every length past the count checks
+    for spec in verify._subblocks(verify.MAX_L):
+        for n in (2 * spec.length, 3 * spec.length):
+            concatenated = verify._sweep_words(spec, n, 0)
+            assert np.array_equal(concatenated, _words(spec, n)), (spec, n)
+        # within max_n the filter, which the count checks read, stays
+        n = 2 * spec.length
+        assert verify._sweep_words(spec, n, 12) is verify._valid(spec, n)
 
 
 def first_string_outage(spec, model, lengths):
