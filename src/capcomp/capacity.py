@@ -11,8 +11,9 @@ of the spectral radius of the window transfer graph, computed by power
 iteration on the C(T, w) follower-set classes of its 2^(T-1) suffix states
 and stopped on a certified Collatz-Wielandt bracket.  The classes are
 enumerated directly and their successor tables built a chunk at a time, so
-the solve's peak memory is 24 + 16(T - w)/T bytes per class, under 40: two
-index tables and two iterates, and no array longer than C(T, w).  One
+the solve's peak memory is 24 + 16(T - w)/T bytes per class, under 40 (two
+index tables and two iterates), plus a fixed term of chunk-sized build
+temporaries, at most 129 KB for T <= 18; no array is longer than C(T, w).  One
 kernel solves a batch of windows in one power iteration over the disjoint
 union of their class graphs, each recorded at its own first closed bracket
 and to the same bits as alone; a single window is a batch of one, and every
@@ -70,8 +71,8 @@ _MAX_WINDOW = 63
 # 2^_CHECK_EVERY in between
 _CHECK_EVERY = 8
 
-# _follower_classes and _class_union work through their tables this many
-# classes at a time, so that their temporaries stay chunk-sized
+# _follower_classes fills its tables this many classes at a time, so that
+# their temporaries stay chunk-sized
 _CHUNK = 1 << 12
 
 
@@ -335,8 +336,8 @@ def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nda
     C(t-1, w-1) others, and the blocks lie row by row: succ0 covers the
     leading slice of popcount-w classes, as in _follower_classes.  For a
     batch of one that is the window's own layout, so its tables are the
-    union's.  Otherwise each window's tables are renumbered in place, a chunk
-    at a time, moved to their blocks and dropped.
+    union's.  Otherwise each window's tables are renumbered in place, moved
+    to their blocks and dropped.
     """
     sizes = np.array([[math.comb(t - 1, w - j) for t, w in windows] for j in (0, 1)])
     if len(windows) == 1:
@@ -348,10 +349,8 @@ def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.nda
         (heavy, light), size = first[:, k], sizes[0, k]
         s1, s0 = _follower_classes(t, w)
         for succ in (s1, s0):
-            for start in range(0, len(succ), _CHUNK):
-                part = succ[start : start + _CHUNK]
-                # class i of the window lies at heavy + i, or at light + i - size
-                part += np.where(part < size, heavy, light - size)
+            # class i of the window lies at heavy + i, or at light + i - size
+            succ += np.where(succ < size, heavy, light - size)
         succ1[heavy : heavy + size] = s1[:size]
         succ1[light : light + sizes[1, k]] = s1[size:]
         succ0[heavy : heavy + size] = s0
@@ -383,8 +382,11 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     ratios are written into the iterate just consumed, which is spent.  So
     the peak is 24 + 16(t-w)/t bytes per class, under 40, besides
     chunk-sized and per-window terms: 30.4 at (20, 12).  Building the tables
-    of a batch of one holds less (_follower_classes); a larger batch holds
-    the union's tables besides while each window is built.
+    of a batch of one holds less per class (_follower_classes), but its
+    chunk-sized temporaries are a fixed term that dominates a small window:
+    at most 129 KB over the windows with t <= 18, so (15, 9) traces 54.2
+    bytes per class.  A larger batch holds the union's tables besides, and a
+    window's full-size renumbering temporary, while each window is built.
 
     Proof that the follower-set quotient has the same spectral radius.  A
     suffix state p (the last t-1 bits) admits bit c iff popcount(p) + c >= w,
@@ -475,9 +477,10 @@ def swc_capacity_exact(
     log2.  The value is the bracket's midpoint and residual its width, so
     the capacity lies within residual/2 of value; _swc_spectral
     proves the quotient exact and the bracket closing.  The solve holds at
-    most 24 + 16(t-w)/t bytes per class, under 40 and 30.4 at (20, 12), as
-    _swc_spectral shows; the budget still counts 2^(t-1) suffix states only
-    so that every output stays the same.
+    most 24 + 16(t-w)/t bytes per class, under 40 and 30.4 at (20, 12), plus
+    a fixed term of chunk-sized build temporaries (at most 129 KB for
+    t <= 18), as _swc_spectral shows; the budget still counts 2^(t-1) suffix
+    states only so that every output stays the same.
     Raises ResourceLimitError when the bracket is still wider than tol after
     _MAX_POWER_ITER iterations.  A batch of one of swc_capacities_exact, so
     each window is solved once per process and tol.

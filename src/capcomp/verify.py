@@ -21,8 +21,8 @@ The brute-force side of counts, equivalence and outage runs on numpy arrays
 of n-bit words (see constraints): the valid words of each (spec, n) are
 enumerated once and cached, then tested against another family's word rule
 or the batched battery kernel all at once.  The outage suite's subblock
-sweeps past max_n, which no count check reads, concatenate valid blocks
-instead of filtering all 2^n words.  The outage suite sweeps each
+sweeps concatenate valid blocks instead of filtering all 2^n words; the
+count checks keep the filter.  The outage suite sweeps each
 spec once per length for all the grid models it is feasible under, in one
 kernel call, and each length resumes from the battery levels of the length
 before, stepping only the new bits.  An infeasible setup's draining
@@ -102,17 +102,16 @@ def _valid(spec: ConstraintSpec, n: int) -> np.ndarray:
     return words
 
 
-def _sweep_words(spec: ConstraintSpec, n: int, max_n: int) -> np.ndarray:
+def _sweep_words(spec: ConstraintSpec, n: int) -> np.ndarray:
     """The valid words of spec at n that the outage suite sweeps, ascending.
 
-    Past max_n, where no count check reads the length, a subblock spec's
-    words are built as the concatenations of its valid L-bit blocks: the
-    rule tests each aligned block alone, so these are exactly the words the
-    filter keeps, and a block appended to ascending words in ascending order
-    keeps them ascending.  Up to max_n the filter stays, so that the count
-    checks still compare the count formula with brute force.
+    A subblock spec's words, at a multiple n of L, are built as the
+    concatenations of its valid L-bit blocks: the rule tests each aligned
+    block alone, so these are exactly the words the filter keeps, and a
+    block appended to ascending words in ascending order keeps them
+    ascending.  The count checks read the filter, _valid, directly.
     """
-    if not isinstance(spec, SEC) or n <= max_n:
+    if not isinstance(spec, SEC):
         return _valid(spec, n)
     blocks = _valid(spec, spec.length)
     words = blocks
@@ -356,7 +355,7 @@ def suite_bounds() -> list[Check]:
 
 
 def _first_outages(
-    spec: ConstraintSpec, models: list[EnergyModel], lengths: Iterable[int], max_n: int
+    spec: ConstraintSpec, models: list[EnergyModel], lengths: Iterable[int]
 ) -> list[str | None]:
     """Per model, the first valid sequence of spec, by length then word, that drains it.
 
@@ -375,7 +374,7 @@ def _first_outages(
     for n in lengths:
         if not open_rows:
             break
-        words = _sweep_words(spec, n, max_n)
+        words = _sweep_words(spec, n)
         marked, levels = _outage_words(words, n, [models[i] for i in open_rows], parent)
         for i, row in zip(open_rows, marked):
             if row.any():
@@ -445,9 +444,7 @@ def suite_outage(max_n: int = MAX_N) -> list[Check]:
         for spec in specs:
             feasible = {label: model for label, model in models.items() if spec._feasible(model)}
             if feasible:
-                witnesses = _first_outages(
-                    spec, list(feasible.values()), lengths(spec, max_n), max_n
-                )
+                witnesses = _first_outages(spec, list(feasible.values()), lengths(spec, max_n))
                 sweeps.update(zip(((spec, label) for label in feasible), witnesses))
 
     def failures(specs: list[ConstraintSpec], label: str, model: EnergyModel) -> Iterator[str]:
