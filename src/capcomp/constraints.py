@@ -25,7 +25,10 @@ tables.  The brute-force oracles check all three.
 Each rule exists twice.  ``_accepts`` tests one bit string of any length;
 ``_accepts_words`` tests a numpy array of n-bit integer words at once, with
 shifts and popcounts.  Character i of a string is bit n-1-i of its word, so
-ascending word order is lexicographic string order.  The exhaustive oracles
+ascending word order is lexicographic string order.  Words are int32: no
+enumerated word is longer than DEFAULT_ENUM_LIMIT = 24 bits, and verify's
+longest concatenated words have 3 subblocks of at most 6 bits, so every
+word and every shift of one stays below the sign bit.  The exhaustive oracles
 (``enumerate_sequences``, ``sets_equal`` and the verification sweeps) run on
 words; ``satisfies`` and the witness builders run on strings.
 """
@@ -284,8 +287,8 @@ def satisfies(spec: ConstraintSpec, bits: str) -> bool:
 def _words(spec: ConstraintSpec, n: int) -> np.ndarray:
     """Every valid length-n sequence as an n-bit word, in ascending order.
 
-    All 2^n words are filtered with the family's word rule; lengths above
-    DEFAULT_ENUM_LIMIT are refused.
+    All 2^n words are filtered with the family's word rule, as int32;
+    lengths above DEFAULT_ENUM_LIMIT are refused.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -293,7 +296,7 @@ def _words(spec: ConstraintSpec, n: int) -> np.ndarray:
         raise ResourceLimitError(
             f"enumeration of 2^{n} sequences exceeds the limit of 2^{DEFAULT_ENUM_LIMIT}"
         )
-    words = np.arange(1 << n, dtype=np.int64)
+    words = np.arange(1 << n, dtype=np.int32)
     return words[spec._accepts_words(words, n)]
 
 

@@ -25,13 +25,15 @@ input:
 * ``_run`` steps through one bit string of any length.  ``outage_occurs``
   stops it at the first outage; ``simulate`` runs it to the end and turns
   the scaled levels back into Fractions only when it returns.
-* ``_outage_words`` steps an int64 level array over a numpy array of n-bit
-  words under a batch of models at once, one bit position per step, for the
+* ``_outage_words`` steps a level array over a numpy array of n-bit words
+  under a batch of models at once, one bit position per step, for the
   exhaustive verification sweeps: each spec is swept once per length for
   all the models it is feasible under.  A sweep of a longer length resumes
   from the levels of a shorter one, whose words are the prefixes of its
   words, and steps only the new bits.  It marks outages without clamping a
-  negative level back to zero, and caps the others at E_max.
+  negative level back to zero, and caps the others at E_max.  The levels
+  take the narrowest signed integer type that holds their proved range:
+  int8 or int16 on verify's grid, int64 at most.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ def _outage_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether the battery recursion hits an outage on each n-bit word, per model.
 
-    Returns the outage mask and the int64 levels after the last bit, both of
-    shape (len(models), len(words)); row i is the run under models[i].  Word
+    Returns the outage mask and the levels after the last bit, both of shape
+    (len(models), len(words)); row i is the run under models[i].  Word
     w stands for the bit string format(w, f"0{n}b"): its first bit is bit
     n-1.  All words under all models advance together, one bit position per
     step, in units of 1/den as in _run, each model with its own den.  A step
@@ -225,22 +227,28 @@ def _outage_words(
     word's mask and levels and steps only the n - m new bits.  A word with
     no parent raises ValueError.
 
-    The levels stay in [-n*draw, cap + den - draw], so the kernel is exact
-    when cap + den and n*draw are below 2^63 for every model, and raises
-    ResourceLimitError naming the first model that fails it, before any work.
+    The levels stay in [-n*draw, cap + den - draw], so a signed integer type
+    whose largest value is at least max(cap + den, n*draw) for every model
+    holds them exactly: the levels take the narrowest of int8, int16, int32
+    and int64 that does.  When even int64 does not, the kernel raises
+    ResourceLimitError naming the first model over it, before any work.
     """
     scaled = [model._scaled for model in models]
-    for model, (den, draw, cap, _) in zip(models, scaled):
-        if max(cap + den, n * draw) >= 1 << 63:
+    bounds = [max(cap + den, n * draw) for den, draw, cap, _ in scaled]
+    for model, bound in zip(models, bounds):
+        if bound >= 1 << 63:
             raise ResourceLimitError(f"scaled battery levels of {model} exceed int64")
-    # one int64 column per quantity, so each step broadcasts over the words
-    den, draw, cap, start = np.array(scaled, dtype=np.int64).reshape(-1, 4, 1).transpose(1, 0, 2)
+    # the narrowest signed type that holds every model's bound; int64 does
+    top = max(bounds, default=0)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    # one column per quantity, so each step broadcasts over the words
+    den, draw, cap, start = np.array(scaled, dtype=dtype).reshape(-1, 4, 1).transpose(1, 0, 2)
     m = 0
     if parent is not None:
         pwords, m, poutage, plevel = parent
         # -1 is no word, so a word past the last parent finds no match
         padded = np.append(pwords, -1)
-    level = np.empty((len(models), len(words)), dtype=np.int64)
+    level = np.empty((len(models), len(words)), dtype=dtype)
     outage = np.empty(level.shape, dtype=bool)
     # the run goes through the words a slice at a time, which bounds the
     # temporaries of the parent lookup and of each step
@@ -259,7 +267,8 @@ def _outage_words(
             out[...] = poutage[:, idx]
         for shift in range(n - m - 1, -1, -1):
             np.subtract(lv, draw, out=lv)
-            np.add(lv, den * ((bits >> shift) & 1), out=lv)
+            # the bit in the level type, so that den * bit is no wider
+            np.add(lv, den * ((bits >> shift) & 1).astype(dtype), out=lv)
             out |= lv < 0
             np.minimum(lv, cap, out=lv)
     return outage, level

@@ -376,9 +376,8 @@ def _first_outages(
             break
         words = _sweep_words(spec, n)
         marked, levels = _outage_words(words, n, [models[i] for i in open_rows], parent)
-        for i, row in zip(open_rows, marked):
-            if row.any():
-                witnesses[i] = _word_text(int(words[row.argmax()]), n)
+        for j in np.flatnonzero(marked.any(axis=1)).tolist():
+            witnesses[open_rows[j]] = _word_text(int(words[marked[j].argmax()]), n)
         keep = [j for j, i in enumerate(open_rows) if witnesses[i] is None]
         if len(keep) < len(open_rows):
             open_rows = [open_rows[j] for j in keep]

@@ -22,7 +22,7 @@ from capcomp import (
     sets_equal,
     simulate,
 )
-from capcomp.constraints import _MAX_WITNESS_BITS, _words
+from capcomp.constraints import _MAX_WITNESS_BITS, DEFAULT_ENUM_LIMIT, _words
 from capcomp.verify import MAX_D, MAX_L, MAX_T
 
 # every spec the verification suites enumerate
@@ -118,6 +118,13 @@ class TestEnumerate:
 
     def test_zero_length(self):
         assert enumerate_sequences(SEC(3, 2), 0) == [""]
+
+    def test_words_are_int32_and_every_enumerated_length_fits(self):
+        assert _words(SWC(3, 2), 10).dtype == np.int32
+        # the enumeration limit, and the 3 subblocks of the outage suite's
+        # longest concatenated words, stay clear of the int32 sign bit
+        assert DEFAULT_ENUM_LIMIT < 31
+        assert 3 * MAX_L < 31
 
     @pytest.mark.parametrize("spec", VERIFY_GRID, ids=str)
     def test_matches_the_string_reference(self, spec):

@@ -243,6 +243,24 @@ class TestOutageWords:
             with pytest.raises(ValueError, match="do not all extend"):
                 _outage_words(np.array([13], dtype=np.int64), 4, models, parent)
 
+    @pytest.mark.parametrize(
+        "e_max, dtype",
+        [("125/2", np.int8), ("63", np.int16), ("32765/2", np.int16), ("16383", np.int32)],
+    )
+    def test_levels_take_the_narrowest_type_that_holds_them(self, e_max, dtype):
+        # at b = 1/2, den = 2 and draw = 1, so over n <= 10 bits the level
+        # bound is cap + den = 2 * e_max + 2: 2^7 - 1, 2^7, 2^15 - 1 and 2^15
+        full = Fraction(e_max)
+        models = [model("1/2", e_max, e_init) for e_init in (0, Fraction(1, 2), full - 1, full)]
+        for n in range(11):
+            marked, levels = _outage_words(np.arange(1 << n, dtype=np.int32), n, models)
+            assert levels.dtype == dtype
+            for m, row, level in zip(models, marked, levels):
+                assert row.tolist() == string_outages(m, n), (m, n)
+                for word in np.flatnonzero(~row).tolist():
+                    bits = format(word, f"0{n}b") if n else ""
+                    assert level[word] == _run(bits, m, stop_at_outage=False)[0][-1], (m, bits)
+
     def test_refuses_levels_past_int64(self):
         m = model("1/2", str(1 << 62))
         with pytest.raises(ResourceLimitError, match="exceed int64"):

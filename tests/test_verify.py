@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 import re
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -32,6 +33,23 @@ def test_long_subblock_words_are_block_concatenations():
         for n in (spec.length, 2 * spec.length, 3 * spec.length):
             concatenated = verify._sweep_words(spec, n)
             assert np.array_equal(concatenated, _words(spec, n)), (spec, n)
+
+
+def test_subblock_sweep_holds_at_most_12_bytes_per_word(fresh_words):
+    # SEC(6, 2) is feasible under b = 1/4 with e_max 2 and 3; at 18 bits it
+    # sweeps 57^3 int32 words, with an int8 level and a mark per word and
+    # model: 8 bytes per word, plus the slice temporaries and shorter words
+    spec = SEC(6, 2)
+    grid = [EnergyModel.make(b, e) for b in verify.MODEL_B_GRID for e in verify.MODEL_EMAX_GRID]
+    models = [m for m in grid if spec._feasible(m)]
+    assert len(models) == 2
+    tracemalloc.start()
+    try:
+        verify._first_outages(spec, models, (6, 12, 18))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * len(verify._sweep_words(spec, 18))
 
 
 def first_string_outage(spec, model, lengths):
