@@ -13,7 +13,7 @@ and stopped on a certified Collatz-Wielandt bracket.  The classes are
 enumerated directly and their successor tables built a chunk at a time, so
 the solve's peak memory is 24 + 16(T - w)/T bytes per class, under 40 (two
 index tables and two iterates), plus a fixed term of chunk-sized build
-temporaries, at most 129 KB for T <= 18; no array is longer than C(T, w).  One
+temporaries, at most 112 KB for T <= 18; no array is longer than C(T, w).  One
 kernel solves a batch of windows in one power iteration over the disjoint
 union of their class graphs, each recorded at its own first closed bracket
 and to the same bits as alone; a single window is a batch of one, and every
@@ -80,8 +80,8 @@ _CHUNK = 1 << 12
 class CapacityResult:
     """A capacity value plus how it was obtained.
 
-    method is one of closed-form, spectral, dp-growth, lower-bound,
-    upper-bound.  What residual bounds depends on the method:
+    method is one of closed-form, spectral, dp-growth, lower-bound.  What
+    residual bounds depends on the method:
     - a run-length or zero-run root (closed-form): the width of a bracket on
       the capacity, in log2, that holds value, so value is within residual
       of the capacity;
@@ -281,80 +281,66 @@ def _popcount_strings(bits: int, k: int) -> np.ndarray:
     return rows[k]
 
 
-def _follower_classes(t: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Successor tables of the follower-set classes of the (t, w) window graph.
+def _follower_classes(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Successor tables of the follower-set classes over the disjoint union of the window graphs.
 
-    Class i is represented by a (t-1)-bit string r of popcount w or w-1, the
-    popcount-w classes first, each group ascending.  succ1[i] is the class
-    reached by appending a 1; succ0[j] is the class reached by appending a 0,
-    for the popcount-w classes j < len(succ0) only, since a 0 after a
-    popcount-(w-1) state closes a window of weight w-1.  Appending bit c
-    shifts it in and, when the popcount reaches w+1, clears the highest set
-    bit; the result's index is found by binary search among the class keys.
+    Within a window (t, w), class i is represented by a (t-1)-bit string r
+    of popcount w or w-1, the popcount-w classes first, each group
+    ascending.  Appending bit c shifts it in and, when the popcount reaches
+    w+1, clears the highest set bit; the result's index is found by binary
+    search among the class keys.  A 0 after a popcount-(w-1) state closes a
+    window of weight w-1, so only the popcount-w classes have a
+    0-successor.
+
+    The union lays the classes out in blocks: block (0, k) holds the
+    C(t-1, w) popcount-w classes of window k, block (1, k) its C(t-1, w-1)
+    others, and the blocks lie row by row.  succ1[i] is the class reached
+    from class i by appending a 1, and succ0[j] the class reached by
+    appending a 0, for the leading len(succ0) classes, the popcount-w ones.
+    A batch of one is the window's own layout.
 
     A class is keyed by its string, with bit t-1 set when its popcount is
-    w-1: so the keys are exactly the t-bit strings of popcount w, ascending
-    in class order, and they are built as one array, with at most three
-    key-sized arrays alive (_popcount_strings).  The tables are then filled
-    _CHUNK classes at a time, so the fill's temporaries are chunk-sized: it
-    holds the keys and the two tables, 16 + 8(t-w)/t bytes per class, as
+    w-1: so a window's keys are exactly the t-bit strings of popcount w,
+    ascending in class order, built as one array with at most three
+    key-sized arrays alive (_popcount_strings).  Each group of a window is
+    then filled _CHUNK classes at a time, renumbered to its union slots and
+    written straight into its block, so the fill's temporaries are
+    chunk-sized: a window's build holds its keys and the union's two
+    tables, for a batch of one 16 + 8(t-w)/t bytes per class, as
     len(succ0) = C(t-1, w) = C(t, w)(t-w)/t.
     """
-    mask = (1 << (t - 1)) - 1
-    keys = _popcount_strings(t, w)
-    heavy = math.comb(t - 1, w)
-    succ1 = np.empty(len(keys), dtype=np.int64)
-    succ0 = np.empty(heavy, dtype=np.int64)
+    succ1 = np.empty(sum(math.comb(t, w) for t, w in windows), dtype=np.int64)
+    succ0 = np.empty(sum(math.comb(t - 1, w) for t, w in windows), dtype=np.int64)
+    heavy_at, light_at = 0, len(succ0)
+    for t, w in windows:
+        mask = (1 << (t - 1)) - 1
+        keys = _popcount_strings(t, w)
+        heavy = math.comb(t - 1, w)
 
-    def successor(r: np.ndarray, c: int) -> np.ndarray:
-        s = ((r << 1) & mask) | c
-        top = s.copy()  # smear the highest set bit down, then isolate it
-        shift = 1
-        while shift < t:
-            top |= top >> shift
-            shift <<= 1
-        top ^= top >> 1
-        pc = np.bitwise_count(s)
-        s = np.where(pc > w, s ^ top, s)
-        return np.searchsorted(keys, np.where(pc < w, s | (mask + 1), s))
+        def successor(r: np.ndarray, c: int) -> np.ndarray:
+            s = ((r << 1) & mask) | c
+            top = s.copy()  # smear the highest set bit down, then isolate it
+            shift = 1
+            while shift < t:
+                top |= top >> shift
+                shift <<= 1
+            top ^= top >> 1
+            pc = np.bitwise_count(s)
+            s = np.where(pc > w, s ^ top, s)
+            i = np.searchsorted(keys, np.where(pc < w, s | (mask + 1), s))
+            # class i of the window lies at heavy_at + i, or at light_at + i - heavy
+            i += np.where(i < heavy, heavy_at, light_at - heavy)
+            return i
 
-    for start in range(0, len(keys), _CHUNK):
-        r = keys[start : start + _CHUNK] & mask
-        succ1[start : start + len(r)] = successor(r, 1)
-        if start < heavy:
-            # the popcount-w classes lead, so a chunk's are its first ones
-            r = r[: heavy - start]
-            succ0[start : start + len(r)] = successor(r, 0)
+        for first, stop, at in ((0, heavy, heavy_at), (heavy, len(keys), light_at - heavy)):
+            for start in range(first, stop, _CHUNK):
+                r = keys[start : min(start + _CHUNK, stop)] & mask
+                succ1[at + start : at + start + len(r)] = successor(r, 1)
+                if first == 0:
+                    succ0[at + start : at + start + len(r)] = successor(r, 0)
+        heavy_at += heavy
+        light_at += len(keys) - heavy
     return succ1, succ0
-
-
-def _class_union(windows: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The successor tables of _follower_classes over the disjoint union of the windows.
-
-    Returns sizes, succ1 and succ0.  Block (0, k) holds the sizes[0, k] =
-    C(t-1, w) popcount-w classes of window k, block (1, k) its sizes[1, k] =
-    C(t-1, w-1) others, and the blocks lie row by row: succ0 covers the
-    leading slice of popcount-w classes, as in _follower_classes.  For a
-    batch of one that is the window's own layout, so its tables are the
-    union's.  Otherwise each window's tables are renumbered in place, moved
-    to their blocks and dropped.
-    """
-    sizes = np.array([[math.comb(t - 1, w - j) for t, w in windows] for j in (0, 1)])
-    if len(windows) == 1:
-        return sizes, *_follower_classes(*windows[0])
-    first = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-    succ1 = np.empty(sizes.sum(), dtype=np.int64)
-    succ0 = np.empty(sizes[0].sum(), dtype=np.int64)
-    for k, (t, w) in enumerate(windows):
-        (heavy, light), size = first[:, k], sizes[0, k]
-        s1, s0 = _follower_classes(t, w)
-        for succ in (s1, s0):
-            # class i of the window lies at heavy + i, or at light + i - size
-            succ += np.where(succ < size, heavy, light - size)
-        succ1[heavy : heavy + size] = s1[:size]
-        succ1[light : light + sizes[1, k]] = s1[size:]
-        succ0[heavy : heavy + size] = s0
-    return sizes, succ1, succ0
 
 
 def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[float, float]]:
@@ -382,11 +368,10 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     ratios are written into the iterate just consumed, which is spent.  So
     the peak is 24 + 16(t-w)/t bytes per class, under 40, besides
     chunk-sized and per-window terms: 30.4 at (20, 12).  Building the tables
-    of a batch of one holds less per class (_follower_classes), but its
-    chunk-sized temporaries are a fixed term that dominates a small window:
-    at most 129 KB over the windows with t <= 18, so (15, 9) traces 54.2
-    bytes per class.  A larger batch holds the union's tables besides, and a
-    window's full-size renumbering temporary, while each window is built.
+    holds less per class (_follower_classes), but its chunk-sized
+    temporaries are a fixed term that dominates a small window:
+    at most 112 KB over the windows with t <= 18, so (15, 9) traces 45.2
+    bytes per class.
 
     Proof that the follower-set quotient has the same spectral radius.  A
     suffix state p (the last t-1 bits) admits bit c iff popcount(p) + c >= w,
@@ -419,8 +404,9 @@ def _swc_spectral(windows: Sequence[tuple[int, int]], tol: float) -> list[tuple[
     """
     if not windows:
         return []
-    # the blocks of _class_union, reduced one by one by reduceat at starts
-    sizes, succ1, succ0 = _class_union(windows)
+    # the blocks of _follower_classes, reduced one by one by reduceat at starts
+    sizes = np.array([[math.comb(t - 1, w - j) for t, w in windows] for j in (0, 1)])
+    succ1, succ0 = _follower_classes(windows)
     starts = np.cumsum(sizes) - sizes.ravel()
     blocks = list(zip(starts.tolist(), sizes.ravel().tolist()))
     count = len(windows)
@@ -478,7 +464,7 @@ def swc_capacity_exact(
     the capacity lies within residual/2 of value; _swc_spectral
     proves the quotient exact and the bracket closing.  The solve holds at
     most 24 + 16(t-w)/t bytes per class, under 40 and 30.4 at (20, 12), plus
-    a fixed term of chunk-sized build temporaries (at most 129 KB for
+    a fixed term of chunk-sized build temporaries (at most 112 KB for
     t <= 18), as _swc_spectral shows; the budget still counts 2^(t-1) suffix
     states only so that every output stays the same.
     Raises ResourceLimitError when the bracket is still wider than tol after

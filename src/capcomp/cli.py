@@ -266,11 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run self-verification suites")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["counts", "equivalence", "bounds", "outage", "all"],
-    )
+    p.add_argument("--suite", required=True, choices=[*verify.SUITES, "all"])
     p.add_argument("--max-n", type=int, help="length cap for enumeration-backed suites")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -20,10 +20,11 @@ fits the budget.  Other candidates fall back to the best known lower bound
 and the result is tagged accordingly.  Each zero count T - w is rated
 exactly once, at its shortest window that is rated exactly: a longer window
 with the same zero count has a strictly smaller capacity (proof in o_swc),
-so it is never the argmax and is neither solved nor, past the budget,
-bounded.  A zero count z that is only bounded is bounded at
-every window up to length (DEFAULT_M_MAX + 1) * z, and past that length only
-at its first window, as the bound does not increase there (proof in o_swc).
+so it is never the argmax and is dropped from the candidate stream, neither
+solved nor, past the budget, bounded.  A zero count z that is only bounded
+is bounded at every window up to length (DEFAULT_M_MAX + 1) * z, and past
+that length only at its first window, as the bound does not increase there;
+its later windows are dropped from the candidate stream (proof in o_swc).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import lru_cache
 from .bounds import DEFAULT_M_MAX, entropy_ceiling, sandwich_bounds, swc_lower_bound
 from .capacity import (
     DEFAULT_STATE_BUDGET,
+    CapacityResult,
     _has_exact_route,
     rll_capacity,
     sec_capacity,
@@ -69,16 +71,18 @@ class OutageResult:
 def _best(model: EnergyModel, candidates: Iterable, rate: Callable) -> OutageResult:
     """The candidate with the highest rate, the first one on ties.
 
-    rate(*params) returns (value, exact); the result is tagged "lower-bound"
-    when any candidate's rate was only bounded.  A code must beat rate zero
-    to be reported, so with no such candidate params is None.
+    rate(*params) returns the candidate's CapacityResult: its value is the
+    rate, and it is exact unless its method is "lower-bound".  The result is
+    tagged "lower-bound" when any candidate's rate was only bounded.  A code
+    must beat rate zero to be reported, so with no such candidate params is
+    None.
     """
     best_value, best_params, exact = 0.0, None, True
     for params in candidates:
-        value, value_exact = rate(*params)
-        exact = exact and value_exact
-        if value > best_value:
-            best_value, best_params = value, params
+        result = rate(*params)
+        exact = exact and result.method != "lower-bound"
+        if result.value > best_value:
+            best_value, best_params = result.value, params
     return OutageResult(
         value=best_value,
         params=best_params,
@@ -107,18 +111,19 @@ def o_rll(model: EnergyModel) -> OutageResult:
     strictly drops with d.  Zero when the buffer cannot hold one draw.
     """
     candidates = [(math.ceil(model.b / (1 - model.b)),)] if model.e_max >= model.b else []
-    return _best(model, candidates, lambda d: (rll_capacity(d).value, True))
+    return _best(model, candidates, rll_capacity)
 
 
-def _swc_fallback(t: int, w: int) -> tuple[float, bool]:
-    """The best window-capacity lower bound that needs no spectral solve, as a rate."""
-    return max(swc_lower_bound(t, w).value, sandwich_bounds(t, w)[0]), False
+def _swc_fallback(t: int, w: int) -> CapacityResult:
+    """The best window-capacity lower bound that needs no spectral solve."""
+    value = max(swc_lower_bound(t, w).value, sandwich_bounds(t, w)[0])
+    return CapacityResult(value=value, method="lower-bound")
 
 
-def _swc_rate(t: int, w: int, state_budget: int) -> tuple[float, bool]:
+def _swc_rate(t: int, w: int, state_budget: int) -> CapacityResult:
     """The window's exact capacity where swc_capacity has a route for it, else its fallback."""
     if _has_exact_route(t, w, state_budget):
-        return swc_capacity(t, w, state_budget).value, True
+        return swc_capacity(t, w, state_budget)
     return _swc_fallback(t, w)
 
 
@@ -134,9 +139,9 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     lower bound instead, and the result is then tagged "lower-bound".  Ties
     go to the smallest window.  Each zero count z = T - w is rated exactly
     only at its shortest candidate that is rated exactly; the longer ones
-    with the same z cannot win and are rated zero unsolved, also past the
-    budget.  A zero count that is only bounded is bounded once past
-    T = (DEFAULT_M_MAX + 1) * z.
+    with the same z cannot win and are dropped from the candidate stream,
+    also past the budget.  A zero count that is only bounded is bounded once
+    past T = (DEFAULT_M_MAX + 1) * z.
 
     Proof that the optimum depends on the model only through (b, z),
     z = floor(e_max / b).  With e_init = e_max and T - w an integer,
@@ -159,15 +164,16 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     count only once one of its windows is rated exactly, by a root or a
     solve; so when a longer window finds its zero count marked, a shorter
     one was rated exactly first, with a positive rate.  _best keeps the
-    first candidate on ties, so rating the longer window zero changes
-    neither the value nor the params, and ties still go to the smallest
-    window.  The same holds for a longer window past the budget: its
-    fallback bound is at most C(T, T - z) < C(T', T' - z), a rate already
-    rated exactly, so it can neither win nor make the optimum inexact, and
-    it is rated zero unbounded.  Up to T = (DEFAULT_M_MAX + 1) * z, a
-    fallback candidate whose zero count has not been rated exactly is rated
-    by its bound: the bounds are not monotone in T there, so skipping one
-    could lower the reported bound.
+    first candidate on ties, so dropping the longer window from the
+    candidate stream changes neither the value nor the params, and ties
+    still go to the smallest window.  The same holds for a longer window
+    past the budget: its fallback bound is at most C(T, T - z) <
+    C(T', T' - z), a rate already rated exactly, so it can neither win nor
+    make the optimum inexact, and it is dropped from the candidate stream,
+    unbounded.  Up to T = (DEFAULT_M_MAX + 1) * z, a fallback candidate
+    whose zero count has not been rated exactly is rated by its bound: the
+    bounds are not monotone in T there, so skipping one could lower the
+    reported bound.
 
     Proof that past T = (DEFAULT_M_MAX + 1) * z only the first fallback of
     each zero count z can matter.  swc_lower_bound's split m is used when
@@ -181,13 +187,15 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
     increase with L; and T/(2T - z) falls with T for z >= 1.  So the
     fallback does not increase with T there: a later window of the zero
     count can at most tie its first, and _best keeps the first on ties.
-    The later ones are rated zero unbounded, still as bounds, and the first
-    has already tagged the optimum "lower-bound".  None of them has an
-    exact route: their weight T - z exceeds the first's, which is at least
-    2, so neither root applies, and a budget that refused the first refuses
-    every longer window.  In floats too: with
-    z/T < 1/9 the bounds stay far below 1, and the bounds of consecutive
-    lengths differ by a relative amount of order 1/T, far above rounding.
+    The later ones are dropped from the candidate stream: each would be
+    rated as a bound, and the first has already tagged the optimum
+    "lower-bound", so dropping them changes neither the value, the params
+    nor the tag.  None of them has an exact route: their weight T - z
+    exceeds the first's, which is at least 2, so neither root applies, and a
+    budget that refused the first refuses every longer window.  In floats
+    too: with z/T < 1/9 the bounds stay far below 1, and the bounds of
+    consecutive lengths differ by a relative amount of order 1/T, far above
+    rounding.
 
     Proof that o_swc is never below o_rll.  Let d = ceil(b / (1 - b)),
     o_rll's run length, and let e_max >= b, so z >= 1 (else o_rll is zero).
@@ -207,24 +215,18 @@ def o_swc(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> Outag
 def _o_swc(b: Fraction, z: int, state_budget: int) -> OutageResult:
     """o_swc on the full-buffer model that funds exactly z zeros in a row."""
     model = EnergyModel(b=b, e_max=z * b, e_init=z * b)
-    # zero counts rated exactly, and zero counts bounded past the split range
-    solved: set[int] = set()
-    bounded: set[int] = set()
+    # zero counts rated exactly, or bounded past the split range: their later
+    # windows are dropped from the candidate stream before they are rated
+    done: set[int] = set()
 
-    def rate(t: int, w: int) -> tuple[float, bool]:
-        zeros = t - w
-        if zeros in solved:
-            return 0.0, True
-        if zeros in bounded:
-            return 0.0, False
-        value, exact = _swc_rate(t, w, state_budget)
-        if exact:
-            solved.add(zeros)
-        elif t > (DEFAULT_M_MAX + 1) * zeros:
-            bounded.add(zeros)
-        return value, exact
+    def rate(t: int, w: int) -> CapacityResult:
+        result = _swc_rate(t, w, state_budget)
+        if result.method != "lower-bound" or t > (DEFAULT_M_MAX + 1) * (t - w):
+            done.add(t - w)
+        return result
 
-    return _best(model, feasible_swc_candidates(model), rate)
+    candidates = ((t, w) for t, w in feasible_swc_candidates(model) if t - w not in done)
+    return _best(model, candidates, rate)
 
 
 def o_swc_lower_explicit(model: EnergyModel) -> OutageResult:
@@ -234,11 +236,6 @@ def o_swc_lower_explicit(model: EnergyModel) -> OutageResult:
     below without any spectral work.
     """
     return _at_pivot(model, _zeros(model, 1), _swc_fallback)
-
-
-def _sec_rate(length: int, w: int) -> tuple[float, bool]:
-    """The exact subblock capacity, as a rate."""
-    return sec_capacity(length, w).value, True
 
 
 def o_sec(model: EnergyModel) -> OutageResult:
@@ -266,7 +263,7 @@ def _o_sec(b: Fraction, z2: int) -> OutageResult:
     """o_sec on the full-buffer model whose two half buffers each fund z2 zeros."""
     e_max = 2 * z2 * b
     model = EnergyModel(b=b, e_max=e_max, e_init=e_max)
-    return _best(model, feasible_sec_candidates(model), _sec_rate)
+    return _best(model, feasible_sec_candidates(model), sec_capacity)
 
 
 def o_sec_lower_explicit(model: EnergyModel) -> OutageResult:
@@ -275,7 +272,7 @@ def o_sec_lower_explicit(model: EnergyModel) -> OutageResult:
     Uses the pivot pair of z2 = floor(e_max / (2b)); its exact capacity
     bounds the subblock optimum from below.
     """
-    return _at_pivot(model, _zeros(model, 2), _sec_rate)
+    return _at_pivot(model, _zeros(model, 2), sec_capacity)
 
 
 def gap_report(model: EnergyModel, state_budget: int = DEFAULT_STATE_BUDGET) -> dict:

@@ -124,15 +124,17 @@ def _same(spec_a: ConstraintSpec, spec_b: ConstraintSpec, n: int) -> bool:
     return np.array_equal(_valid(spec_a, n), _valid(spec_b, n))
 
 
-def _witnesses(spec: ConstraintSpec, lengths: Iterable[int], hits: Callable) -> Iterator[str]:
-    """Per length, the first valid sequence of spec that hits(words, n) marks, as text.
+def _witnesses(
+    inner: ConstraintSpec, outer: ConstraintSpec, lengths: Iterable[int]
+) -> Iterator[str]:
+    """Per length, the first valid sequence of inner that outer rejects, as text.
 
-    Yields "witness <bits> at n=<n>" for each length, in order, that has a
-    marked valid word; the lengths after one are enumerated only on demand.
+    Yields "witness <bits> at n=<n>" for each length, in order, that has such
+    a word; the lengths after one are enumerated only on demand.
     """
     for n in lengths:
-        words = _valid(spec, n)
-        marked = np.flatnonzero(hits(words, n))
+        words = _valid(inner, n)
+        marked = np.flatnonzero(~outer._accepts_words(words, n))
         if marked.size:
             yield f"witness {_word_text(int(words[marked[0]]), n)} at n={n}"
 
@@ -206,11 +208,7 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
             _first_failure(
                 f"equivalence: window t={wide.t} w={wide.w} inside "
                 f"t={narrow.t} w={narrow.w}, n<=12",
-                _witnesses(
-                    wide,
-                    range(wide.t, min(max_n, 12) + 1),
-                    lambda words, n: ~narrow._accepts_words(words, n),
-                ),
+                _witnesses(wide, narrow, range(wide.t, min(max_n, 12) + 1)),
                 str,
             )
         )
@@ -228,9 +226,7 @@ def suite_equivalence(max_n: int = MAX_N) -> list[Check]:
             checks.append(
                 _first_failure(
                     f"equivalence: window inside subblock at multiples, t={t} w={w}",
-                    _witnesses(
-                        SWC(t, w), (t, 2 * t), lambda words, n: ~SEC(t, w)._accepts_words(words, n)
-                    ),
+                    _witnesses(SWC(t, w), SEC(t, w), (t, 2 * t)),
                     str,
                 )
             )

@@ -28,7 +28,6 @@ from capcomp import (
 from capcomp import capacity
 from capcomp.capacity import (
     SPECTRAL_TOL,
-    _class_union,
     _fits_budget,
     _follower_classes,
     _swc_spectral,
@@ -230,7 +229,7 @@ class TestWindowCapacity:
         assert math.comb(18, 11) > 4 * capacity._CHUNK
         assert math.comb(17, 11) % capacity._CHUNK
         for t, w in windows:
-            succ1, succ0 = _follower_classes(t, w)
+            succ1, succ0 = _follower_classes([(t, w)])
             assert len(succ1) == math.comb(t, w), (t, w)
             assert len(succ0) == math.comb(t - 1, w), (t, w)
             ref1, ref0 = follower_classes_over_all_states(t, w)
@@ -238,15 +237,40 @@ class TestWindowCapacity:
 
     def test_tables_do_not_depend_on_the_chunk_size(self, monkeypatch):
         windows = [(t, w) for t in range(2, 12) for w in range(1, t)]
-        whole = _class_union(windows)
-        tables = {window: _follower_classes(*window) for window in windows}
+        whole = _follower_classes(windows)
+        tables = {window: _follower_classes([window]) for window in windows}
         # chunks of 5 classes end anywhere in the popcount-w classes or past them
         monkeypatch.setattr(capacity, "_CHUNK", 5)
-        for got, want in zip(_class_union(windows), whole):
+        for got, want in zip(_follower_classes(windows), whole):
             assert np.array_equal(got, want)
         for window, (succ1, succ0) in tables.items():
-            got1, got0 = _follower_classes(*window)
+            got1, got0 = _follower_classes([window])
             assert np.array_equal(got1, succ1) and np.array_equal(got0, succ0), window
+
+    @pytest.mark.parametrize("chunk", [capacity._CHUNK, 5])
+    def test_union_holds_each_window_in_its_own_blocks(self, monkeypatch, chunk):
+        # the popcount-w classes of (18, 9), (18, 11) and (16, 8) end inside
+        # a chunk; the blocks of the union lie row by row, popcount-w first
+        windows = [(18, 9), (5, 2), (18, 11), (16, 8)]
+        monkeypatch.setattr(capacity, "_CHUNK", chunk)
+        succ1, succ0 = _follower_classes(windows)
+        assert len(succ1) == sum(math.comb(t, w) for t, w in windows)
+        heavy_at, light_at = 0, len(succ0)
+        for t, w in windows:
+            heavy, light = math.comb(t - 1, w), math.comb(t - 1, w - 1)
+            own1, own0 = _follower_classes([(t, w)])
+
+            def local(succ):
+                # union slot back to the window's class index
+                return np.where(succ < len(succ0), succ - heavy_at, succ - light_at + heavy)
+
+            block1 = np.concatenate(
+                [succ1[heavy_at : heavy_at + heavy], succ1[light_at : light_at + light]]
+            )
+            assert np.array_equal(local(block1), own1), (t, w)
+            assert np.array_equal(local(succ0[heavy_at : heavy_at + heavy]), own0), (t, w)
+            heavy_at, light_at = heavy_at + heavy, light_at + light
+        assert (heavy_at, light_at) == (len(succ0), len(succ1))
 
     def test_solve_holds_at_most_40_bytes_per_class(self, cold_caches):
         # the two tables, the two iterates and the gather of succ0 come to
@@ -264,7 +288,7 @@ class TestWindowCapacity:
         # one int64 array over the 2^20 suffix states of (21, 20) is 8 MB
         tracemalloc.start()
         try:
-            _follower_classes(21, 20)
+            _follower_classes([(21, 20)])
             classes_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             swc_capacity_exact(21, 20)
@@ -336,9 +360,9 @@ class TestWindowCapacity:
         solved = []
         follower_classes = capacity._follower_classes
 
-        def record(t, w):
-            solved.append((t, w))
-            return follower_classes(t, w)
+        def record(windows):
+            solved.extend(windows)
+            return follower_classes(windows)
 
         monkeypatch.setattr(capacity, "_follower_classes", record)
         alone = swc_capacity_exact(9, 4)

@@ -132,9 +132,9 @@ class TestZeroCountSkip:
         solved = []
         follower_classes = capacity._follower_classes
 
-        def record(t, w):
-            solved.append((t, w))
-            return follower_classes(t, w)
+        def record(windows):
+            solved.extend(windows)
+            return follower_classes(windows)
 
         monkeypatch.setattr(capacity, "_follower_classes", record)
         assert cli.main(["sweep", *argv]) == 0
@@ -202,7 +202,7 @@ class TestOneBoundPerZeroCount:
         rises_below = []
         for z in range(1, 41):
             split = (DEFAULT_M_MAX + 1) * z
-            bounds = [_swc_fallback(t, t - z)[0] for t in range(z + 1, split + 61)]
+            bounds = [_swc_fallback(t, t - z).value for t in range(z + 1, split + 61)]
             past = bounds[split - z :]
             assert all(a >= b for a, b in zip(past, past[1:])), z
             if any(a < b for a, b in zip(bounds[: split - z], bounds[1 : split - z])):
@@ -216,9 +216,13 @@ class TestOneBoundPerZeroCount:
         # bounded at (39, 15) and, higher, at (40, 16), well inside its split
         # range; (41, 16) of zero count 25 ties (40, 16), so bounding zero
         # count 24 only once would report the longer window
-        assert _swc_fallback(39, 15)[0] < _swc_fallback(40, 16)[0] == _swc_fallback(41, 16)[0]
+        assert (
+            _swc_fallback(39, 15).value
+            < _swc_fallback(40, 16).value
+            == _swc_fallback(41, 16).value
+        )
         res = o_swc(model("5/13", "10"), state_budget=1 << 6)
-        assert (res.value, res.params) == (_swc_fallback(40, 16)[0], (40, 16))
+        assert (res.value, res.params) == (_swc_fallback(40, 16).value, (40, 16))
 
     def test_draw_sweep_rows_solve_no_window(self, monkeypatch, capsys, cold_caches):
         # the benchmark's two rows of the rate-vs-draw sweep: every window
@@ -227,9 +231,9 @@ class TestOneBoundPerZeroCount:
         solved, bounded = [], []
         follower_classes, fallback = capacity._follower_classes, outage._swc_fallback
 
-        def solve(t, w):
-            solved.append((t, w))
-            return follower_classes(t, w)
+        def solve(windows):
+            solved.extend(windows)
+            return follower_classes(windows)
 
         def bound(t, w):
             bounded.append((t, w))
@@ -282,7 +286,7 @@ class TestOptimumPerZeroCount:
                 expect = outage._o_sec.__wrapped__(b, z2)
                 for m in self._same_zero_counts(b, z2, 2):
                     full = m.with_full_buffer()
-                    scan = _best(full, feasible_sec_candidates(full), outage._sec_rate)
+                    scan = _best(full, feasible_sec_candidates(full), sec_capacity)
                     assert scan == expect, m
                     assert o_sec(m) == expect, m
 
