@@ -114,9 +114,12 @@ class RLL(_Family):
         if n <= self.d:
             return ok
         zeros = ~words & ((1 << n) - 1)
+        near = np.empty_like(zeros)
         # no two zeros within d bits of each other
         for gap in range(1, self.d + 1):
-            ok &= (zeros & (zeros >> gap)) == 0
+            np.right_shift(zeros, gap, out=near)
+            np.bitwise_and(near, zeros, out=near)
+            ok &= near == 0
         return ok
 
     def _count(self, n: int) -> int:
@@ -180,8 +183,11 @@ class SWC(_Family):
     def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
         window = (1 << self.t) - 1
         ok = np.ones(words.shape, dtype=bool)
+        part = np.empty_like(words)
         for shift in range(n - self.t + 1):
-            ok &= np.bitwise_count((words >> shift) & window) >= self.w
+            np.right_shift(words, shift, out=part)
+            np.bitwise_and(part, window, out=part)
+            ok &= np.bitwise_count(part) >= self.w
         return ok
 
     def _count(self, n: int) -> int:
@@ -242,8 +248,11 @@ class SEC(_Family):
         self._check_length(n)
         block = (1 << self.length) - 1
         ok = np.ones(words.shape, dtype=bool)
+        part = np.empty_like(words)
         for shift in range(0, n, self.length):
-            ok &= np.bitwise_count((words >> shift) & block) >= self.w
+            np.right_shift(words, shift, out=part)
+            np.bitwise_and(part, block, out=part)
+            ok &= np.bitwise_count(part) >= self.w
         return ok
 
     def _count(self, n: int) -> int:

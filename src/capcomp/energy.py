@@ -27,13 +27,11 @@ input:
   the scaled levels back into Fractions only when it returns.
 * ``_outage_words`` steps a level array over a numpy array of n-bit words
   under a batch of models at once, one bit position per step, for the
-  exhaustive verification sweeps: each spec is swept once per length for
-  all the models it is feasible under.  A sweep of a longer length resumes
-  from the levels of a shorter one, whose words are the prefixes of its
-  words, and steps only the new bits.  It marks outages without clamping a
-  negative level back to zero, and caps the others at E_max.  The levels
-  take the narrowest signed integer type that holds their proved range:
-  int8 or int16 on verify's grid, int64 at most.
+  exhaustive verification sweeps: each spec is swept once, at its longest
+  length, for all the models it is feasible under.  It marks outages
+  without clamping a negative level back to zero, and caps the others at
+  E_max.  The levels take the narrowest signed integer type that holds
+  their proved range: int8 or int16 on verify's grid, int64 at most.
 """
 
 from __future__ import annotations
@@ -204,10 +202,7 @@ def outage_occurs(bits: str, model: EnergyModel) -> bool:
 
 
 def _outage_words(
-    words: np.ndarray,
-    n: int,
-    models: Sequence[EnergyModel],
-    parent: tuple[np.ndarray, int, np.ndarray, np.ndarray] | None = None,
+    words: np.ndarray, n: int, models: Sequence[EnergyModel]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether the battery recursion hits an outage on each n-bit word, per model.
 
@@ -220,12 +215,6 @@ def _outage_words(
     levels that went negative and caps the rest at cap, all in place.  A
     level that went negative is not clamped back to zero: its word is
     already marked, so the mask stays exact, though that level no longer is.
-
-    parent = (pwords, m, outage, levels) is the result of a call at length
-    m < n over the same models: each word's first m bits, words >> (n - m),
-    must be one of the ascending pwords, and the run resumes from that
-    word's mask and levels and steps only the n - m new bits.  A word with
-    no parent raises ValueError.
 
     The levels stay in [-n*draw, cap + den - draw], so a signed integer type
     whose largest value is at least max(cap + den, n*draw) for every model
@@ -243,29 +232,16 @@ def _outage_words(
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
     # one column per quantity, so each step broadcasts over the words
     den, draw, cap, start = np.array(scaled, dtype=dtype).reshape(-1, 4, 1).transpose(1, 0, 2)
-    m = 0
-    if parent is not None:
-        pwords, m, poutage, plevel = parent
-        # -1 is no word, so a word past the last parent finds no match
-        padded = np.append(pwords, -1)
     level = np.empty((len(models), len(words)), dtype=dtype)
     outage = np.empty(level.shape, dtype=bool)
     # the run goes through the words a slice at a time, which bounds the
-    # temporaries of the parent lookup and of each step
+    # temporaries of each step
     for lo in range(0, len(words), _STEP_WORDS):
         part = slice(lo, lo + _STEP_WORDS)
         bits, lv, out = words[part], level[:, part], outage[:, part]
-        if parent is None:
-            lv[...] = start
-            out[...] = False
-        else:
-            heads = bits >> (n - m)
-            idx = np.searchsorted(pwords, heads)
-            if not np.array_equal(padded[idx], heads):
-                raise ValueError(f"the {n}-bit words do not all extend the {m}-bit parent words")
-            lv[...] = plevel[:, idx]
-            out[...] = poutage[:, idx]
-        for shift in range(n - m - 1, -1, -1):
+        lv[...] = start
+        out[...] = False
+        for shift in range(n - 1, -1, -1):
             np.subtract(lv, draw, out=lv)
             # the bit in the level type, so that den * bit is no wider
             np.add(lv, den * ((bits >> shift) & 1).astype(dtype), out=lv)

@@ -22,15 +22,16 @@ of n-bit words (see constraints): the valid words of each (spec, n) are
 enumerated once and cached, then tested against another family's word rule
 or the batched battery kernel all at once.  The outage suite's subblock
 sweeps concatenate valid blocks instead of filtering all 2^n words; the
-count checks keep the filter.  The outage suite sweeps each
-spec once per length for all the grid models it is feasible under, in one
-kernel call, and each length resumes from the battery levels of the length
-before, stepping only the new bits.  An infeasible setup's draining
-witness is built once, at the length proved to suffice (see
-_find_outage_witness).  The bounds suite solves every window it reads in one
-batched power iteration.  A witness is formatted as a bit string only on
-failure, and it is the first failing word in ascending order, which is the
-first failing string in lexicographic order.
+count checks keep the filter.  The outage suite sweeps each spec once, at
+its longest length, for all the grid models it is feasible under, in one
+kernel call: an outage at a shorter length shows there too, and only a
+model that outages is swept again, by ascending length, for its first
+witness (see _first_outages).  An infeasible setup's draining witness is
+built once, at the length proved to suffice (see _find_outage_witness).
+The bounds suite solves every window it reads in one batched power
+iteration.  A witness is formatted as a bit string only on failure, and it
+is the first failing word in ascending order, which is the first failing
+string in lexicographic order.
 
 max_n, the length cap of the enumeration-backed suites, is the one setting
 of run_suite; the other limits are module constants.
@@ -38,7 +39,7 @@ of run_suite; the other limits are module constants.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 
@@ -351,34 +352,43 @@ def suite_bounds() -> list[Check]:
 
 
 def _first_outages(
-    spec: ConstraintSpec, models: list[EnergyModel], lengths: Iterable[int]
+    spec: ConstraintSpec, models: list[EnergyModel], lengths: Sequence[int]
 ) -> list[str | None]:
     """Per model, the first valid sequence of spec, by length then word, that drains it.
 
-    Each length is swept in one battery kernel call over the models that
-    have no witness yet; None where no valid sequence of those lengths
-    hits an outage.  The lengths ascend and every family's rule is
-    prefix-closed over them: a valid word minus its last bit (RLL, SWC) or
-    its last subblock (SEC at L, 2L, 3L) is a valid word of the previous
-    length.  So each call resumes from the previous length's levels and
-    steps only the new bits; the kernel checks every word's parent.  The
+    The lengths ascend.  One battery kernel call sweeps the last of them
+    for every model; None where none of its words hits an outage, which by
+    the proof below means that no valid word of any of the lengths does.
+    Only the marked models are swept again, by ascending length and in one
+    call per length over those without a witness yet, so each detail names
+    the first witness.  A passing sweep thus makes one kernel call.  The
     words of each length come from _sweep_words.
+
+    Proof that an outage at any swept length shows at the longest one.
+    Every family's rule is extension-closed over the lengths swept: a valid
+    word with a 1 appended is valid one bit longer for RLL from d + 1 bits
+    (the new bit is no zero, so no two zeros come closer) and for SWC from
+    t bits (the new window drops one bit of the last window, of weight at
+    least w, and gains a 1), and a valid SEC word with an all-ones subblock
+    appended is valid at the next multiple of L.  So a valid word of a
+    swept length n, padded with ones to the longest length, is valid there.
+    The battery recursion is causal and the kernel never clears a mark, so
+    the padded word is marked whenever the n-bit word is: its first n steps
+    are the same.
     """
+    top = lengths[-1]
+    marked, _ = _outage_words(_sweep_words(spec, top), top, models)
     witnesses: list[str | None] = [None] * len(models)
-    open_rows = list(range(len(models)))
-    parent = None
+    rows = np.flatnonzero(marked.any(axis=1)).tolist()
     for n in lengths:
-        if not open_rows:
+        if not rows:
             break
         words = _sweep_words(spec, n)
-        marked, levels = _outage_words(words, n, [models[i] for i in open_rows], parent)
-        for j in np.flatnonzero(marked.any(axis=1)).tolist():
-            witnesses[open_rows[j]] = _word_text(int(words[marked[j].argmax()]), n)
-        keep = [j for j, i in enumerate(open_rows) if witnesses[i] is None]
-        if len(keep) < len(open_rows):
-            open_rows = [open_rows[j] for j in keep]
-            marked, levels = marked[keep], levels[keep]
-        parent = (words, n, marked, levels)
+        marked, _ = _outage_words(words, n, [models[i] for i in rows])
+        for i, row in zip(rows, marked):
+            if row.any():
+                witnesses[i] = _word_text(int(words[row.argmax()]), n)
+        rows = [i for i in rows if witnesses[i] is None]
     return witnesses
 
 

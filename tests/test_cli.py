@@ -315,6 +315,12 @@ class TestVerify:
         assert (rc, err) == (0, "")
         assert out == (DATA / "verify_all_max_n_12.json").read_text()
 
+    def test_all_suites_print_the_recorded_json_at_the_default_depth(self, capsys):
+        # n <= 16, the depth CI's installed script runs, past one kernel slice
+        rc, out, err = run(capsys, "verify", "--suite", "all", "--json", "--max-n", "16")
+        assert (rc, err) == (0, "")
+        assert out == (DATA / "verify_all_max_n_16.json").read_text()
+
     @pytest.mark.parametrize(
         "flags,message",
         [

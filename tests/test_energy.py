@@ -23,9 +23,8 @@ from capcomp import (
     simulate,
     swc_feasible,
 )
-from capcomp.constraints import SWC, _words
 from capcomp.energy import _outage_words, _pivot, _pivot_scan, _run, _zeros
-from capcomp.verify import _OUTAGE_GRID, MODEL_B_GRID, MODEL_EMAX_GRID
+from capcomp.verify import MODEL_B_GRID, MODEL_EMAX_GRID
 
 
 def model(b, e_max, e_init=None):
@@ -208,40 +207,15 @@ class TestOutageWords:
                     bits = format(word, f"0{n}b") if n else ""
                     assert level[word] == _run(bits, m, stop_at_outage=False)[0][-1], (m, bits)
 
-    @pytest.mark.parametrize(
-        "specs, lengths", _OUTAGE_GRID, ids=[specs[0].family for specs, _ in _OUTAGE_GRID]
-    )
-    def test_continued_run_equals_the_run_from_scratch(self, specs, lengths, monkeypatch):
-        # every verify grid model, feasible or not, so that outages carry over
-        models = [EnergyModel.make(b, e_max) for b in MODEL_B_GRID for e_max in MODEL_EMAX_GRID]
-        carried = False
-        for spec in specs:
-            parent = None
-            for n in lengths(spec, 12):
-                words = _words(spec, n)
-                scratch = _outage_words(words, n, models)
-                with monkeypatch.context() as patch:
-                    # slices of 1000 words, the last one short, each with its own parents
-                    patch.setattr("capcomp.energy._STEP_WORDS", 1000)
-                    continued = _outage_words(words, n, models, parent)
-                for got, want in zip(continued, scratch):
-                    np.testing.assert_array_equal(got, want, err_msg=f"{spec} n={n}")
-                carried = carried or (parent is not None and parent[2].any())
-                parent = (words, n, *continued)
-        assert carried
-
-    def test_words_that_do_not_extend_the_parents_raise(self):
-        models = [model("1/2", "1")]
-        spec = SWC(3, 2)
-        parent = (_words(spec, 3), 3, *_outage_words(_words(spec, 3), 3, models))
-        with pytest.raises(ValueError, match="4-bit words do not all extend the 3-bit parent"):
-            _outage_words(np.arange(16, dtype=np.int64), 4, models, parent)
-        # a word past the last parent, and no parents at all
-        for pwords in ([3, 5], []):
-            pwords = np.array(pwords, dtype=np.int64)
-            parent = (pwords, 3, *_outage_words(pwords, 3, models))
-            with pytest.raises(ValueError, match="do not all extend"):
-                _outage_words(np.array([13], dtype=np.int64), 4, models, parent)
+    def test_a_run_in_short_slices_equals_the_run_in_one(self, monkeypatch):
+        # slices of 1000 words, the last one short, over every grid model
+        models = grid_models()
+        words = np.arange(1 << 12, dtype=np.int32)
+        whole = _outage_words(words, 12, models)
+        monkeypatch.setattr("capcomp.energy._STEP_WORDS", 1000)
+        for got, want in zip(_outage_words(words, 12, models), whole):
+            np.testing.assert_array_equal(got, want)
+        assert whole[0].any() and not whole[0].all()
 
     @pytest.mark.parametrize(
         "e_max, dtype",

@@ -52,6 +52,43 @@ def test_subblock_sweep_holds_at_most_12_bytes_per_word(fresh_words):
     assert peak <= 12 * len(verify._sweep_words(spec, 18))
 
 
+def test_every_swept_rule_is_closed_under_extension_and_prefix():
+    # a valid n-word padded with ones (all-ones subblocks for SEC) is valid
+    # at the longest length, and the n-prefix of a valid longest word is
+    # valid at n: so the longest sweep sees every shorter word's run
+    for specs, lengths in _OUTAGE_GRID:
+        for spec in specs:
+            swept = lengths(spec, 12)
+            top = swept[-1]
+            longest = _words(spec, top)
+            for n in swept[:-1]:
+                pad = top - n
+                padded = (_words(spec, n) << pad) | ((1 << pad) - 1)
+                assert spec._accepts_words(padded, top).all(), (spec, n)
+                assert spec._accepts_words(longest >> pad, n).all(), (spec, n)
+
+
+def test_a_passing_outage_suite_sweeps_each_feasible_spec_once(monkeypatch):
+    real = verify._outage_words
+    calls = []
+
+    def counted(words, n, *rest):
+        calls.append(n)
+        return real(words, n, *rest)
+
+    monkeypatch.setattr(verify, "_outage_words", counted)
+    checks = suite_outage(max_n=12)
+    assert all(check.passed for check in checks)
+    grid = [EnergyModel.make(b, e) for b in verify.MODEL_B_GRID for e in verify.MODEL_EMAX_GRID]
+    tops = [
+        lengths(spec, 12)[-1]
+        for specs, lengths in _OUTAGE_GRID
+        for spec in specs
+        if any(spec._feasible(m) for m in grid)
+    ]
+    assert calls == tops
+
+
 def first_string_outage(spec, model, lengths):
     """The first string, by length then lexicographically, that spec accepts and that drains model."""
     for n in lengths:
