@@ -203,7 +203,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = verify.run_suite(args.suite, max_n=args.max_n)
     failed = [c for c in checks if not c.passed]
     if args.json:
-        print(json.dumps(checks, default=dataclasses.asdict))
+        # a Check's fields are its instance dict, in field order: no deep copy as asdict makes
+        print(json.dumps(checks, default=vars))
     else:
         for c in checks:
             if c.passed:

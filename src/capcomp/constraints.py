@@ -26,9 +26,10 @@ Each rule exists twice.  ``_accepts`` tests one bit string of any length;
 ``_accepts_words`` tests a numpy array of n-bit integer words at once, with
 shifts and popcounts.  Character i of a string is bit n-1-i of its word, so
 ascending word order is lexicographic string order.  Words are int32: no
-enumerated word is longer than DEFAULT_ENUM_LIMIT = 24 bits, and verify's
-longest concatenated words have 3 subblocks of at most 6 bits, so every
-word and every shift of one stays below the sign bit.  The exhaustive oracles
+enumerated word is longer than DEFAULT_ENUM_LIMIT = 24 bits, so every word
+and every shift of one stays below the sign bit; verify sweeps its longest
+subblock words as products of blocks of at most 6 bits, never built as
+words.  The exhaustive oracles
 (``enumerate_sequences``, ``sets_equal`` and the verification sweeps) run on
 words; ``satisfies`` and the witness builders run on strings.
 """

@@ -28,10 +28,13 @@ input:
 * ``_outage_words`` steps a level array over a numpy array of n-bit words
   under a batch of models at once, one bit position per step, for the
   exhaustive verification sweeps: each spec is swept once, at its longest
-  length, for all the models it is feasible under.  It marks outages
-  without clamping a negative level back to zero, and caps the others at
-  E_max.  The levels take the narrowest signed integer type that holds
-  their proved range: int8 or int16 on verify's grid, int64 at most.
+  length, for all the models it is feasible under.  It also sweeps every
+  concatenation of a few such words, a block at a time, so that words
+  sharing a prefix share its steps: verify's subblock sweeps run so.  It
+  marks outages without clamping a negative level back to zero, and caps
+  the others at E_max.  The levels take the narrowest signed integer type
+  that holds their proved range: int8 or int16 on verify's grid, int64 at
+  most.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ RationalLike = Fraction | int | str
 # and b = 1/200 at e_max = 10 (2,011), whose scans already take tens of seconds
 _MAX_SCAN_SPAN = 100_000
 
-# the words one battery kernel step spans at a time, which bounds its temporaries
+# the swept words one battery kernel step spans at a time, which bounds its temporaries
 _STEP_WORDS = 1 << 14
 
 # accepted literals: "7", "3/5", "0.6" (at most 12 fractional digits)
@@ -202,52 +205,66 @@ def outage_occurs(bits: str, model: EnergyModel) -> bool:
 
 
 def _outage_words(
-    words: np.ndarray, n: int, models: Sequence[EnergyModel]
+    words: np.ndarray, n: int, models: Sequence[EnergyModel], repeat: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the battery recursion hits an outage on each n-bit word, per model.
+    """Whether the battery recursion hits an outage on each product of n-bit words, per model.
 
+    The swept words are the concatenations of repeat words from words, in
+    the order of the flattened product: swept word i joins the words at the
+    base-len(words) digits of i, most significant first, so the swept words
+    ascend when words do, and repeat = 1 sweeps words themselves.  Word w
+    stands for the bit string format(w, f"0{n}b"): its first bit is bit n-1.
     Returns the outage mask and the levels after the last bit, both of shape
-    (len(models), len(words)); row i is the run under models[i].  Word
-    w stands for the bit string format(w, f"0{n}b"): its first bit is bit
-    n-1.  All words under all models advance together, one bit position per
-    step, in units of 1/den as in _run, each model with its own den.  A step
-    takes the draw from every level, adds den where the bit is 1, marks the
-    levels that went negative and caps the rest at cap, all in place.  A
-    level that went negative is not clamped back to zero: its word is
-    already marked, so the mask stays exact, though that level no longer is.
+    (len(models), len(words) ** repeat); row i is the run under models[i].
 
-    The levels stay in [-n*draw, cap + den - draw], so a signed integer type
-    whose largest value is at least max(cap + den, n*draw) for every model
-    holds them exactly: the levels take the narrowest of int8, int16, int32
-    and int64 that does.  When even int64 does not, the kernel raises
-    ResourceLimitError naming the first model over it, before any work.
+    All words under all models advance together, one bit position per
+    step, in units of 1/den as in _run, each model with its own den.  Round
+    k repeats the levels and marks of the len(words) ** (k - 1) prefixes
+    over the next block and steps its n bits, broadcast over the prefix
+    axis, so each prefix is stepped once, not once per word that shares it.
+    A step adds den - draw or -draw to every level, marks the levels that
+    went negative and caps the rest at cap, all in place.  A level that went
+    negative is not clamped back to zero: its word is already marked, so the
+    mask stays exact, though that level no longer is.
+
+    Over N = n * repeat bits the levels stay in [-N*draw, cap + den - draw],
+    so a signed integer type whose largest value is at least
+    max(cap + den, N*draw) for every model holds them exactly: the levels
+    take the narrowest of int8, int16, int32 and int64 that does.  When even
+    int64 does not, the kernel raises ResourceLimitError naming the first
+    model over it, before any work.
     """
     scaled = [model._scaled for model in models]
-    bounds = [max(cap + den, n * draw) for den, draw, cap, _ in scaled]
+    bounds = [max(cap + den, n * repeat * draw) for den, draw, cap, _ in scaled]
     for model, bound in zip(models, bounds):
         if bound >= 1 << 63:
             raise ResourceLimitError(f"scaled battery levels of {model} exceed int64")
     # the narrowest signed type that holds every model's bound; int64 does
     top = max(bounds, default=0)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
-    # one column per quantity, so each step broadcasts over the words
-    den, draw, cap, start = np.array(scaled, dtype=dtype).reshape(-1, 4, 1).transpose(1, 0, 2)
-    level = np.empty((len(models), len(words)), dtype=dtype)
-    outage = np.empty(level.shape, dtype=bool)
-    # the run goes through the words a slice at a time, which bounds the
-    # temporaries of each step
-    for lo in range(0, len(words), _STEP_WORDS):
-        part = slice(lo, lo + _STEP_WORDS)
-        bits, lv, out = words[part], level[:, part], outage[:, part]
-        lv[...] = start
-        out[...] = False
-        for shift in range(n - 1, -1, -1):
-            np.subtract(lv, draw, out=lv)
-            # the bit in the level type, so that den * bit is no wider
-            np.add(lv, den * ((bits >> shift) & 1).astype(dtype), out=lv)
-            out |= lv < 0
-            np.minimum(lv, cap, out=lv)
-    return outage, level
+    # one entry per model and quantity, so each step broadcasts over prefixes and words
+    den, draw, cap, start = np.array(scaled, dtype=dtype).reshape(-1, 4, 1, 1).transpose(1, 0, 2, 3)
+    # the one empty prefix, unmarked, ahead of the first round
+    level, outage = start, np.zeros(start.shape, dtype=bool)
+    # each step spans a tile of at most _STEP_WORDS words, which bounds its
+    # temporaries: whole prefixes over all words, or one prefix over a slice
+    rows = max(1, _STEP_WORDS // max(1, len(words)))
+    for k in range(repeat):
+        # every prefix's level and mark, once per word that extends it
+        prefixes = (len(models), len(words) ** k, 1)
+        level = np.repeat(level.reshape(prefixes), len(words), axis=2)
+        outage = np.repeat(outage.reshape(prefixes), len(words), axis=2)
+        for p in range(0, prefixes[1], rows):
+            for c in range(0, len(words), _STEP_WORDS):
+                tile = np.s_[:, p : p + rows, c : c + _STEP_WORDS]
+                bits, lv, out = words[c : c + _STEP_WORDS], level[tile], outage[tile]
+                for shift in range(n - 1, -1, -1):
+                    # the bit in the level type, so that den * bit is no wider
+                    np.add(lv, den * ((bits >> shift) & 1).astype(dtype) - draw, out=lv)
+                    out |= lv < 0
+                    np.minimum(lv, cap, out=lv)
+    swept = (len(models), len(words) ** repeat)
+    return outage.reshape(swept), level.reshape(swept)
 
 
 def rll_feasible(d: int, model: EnergyModel) -> bool:

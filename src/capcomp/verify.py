@@ -20,10 +20,12 @@ detail, or test one fixed fact.
 The brute-force side of counts, equivalence and outage runs on numpy arrays
 of n-bit words (see constraints): the valid words of each (spec, n) are
 enumerated once and cached, then tested against another family's word rule
-or the batched battery kernel all at once.  The outage suite's subblock
-sweeps concatenate valid blocks instead of filtering all 2^n words; the
-count checks keep the filter.  The outage suite sweeps each spec once, at
-its longest length, for all the grid models it is feasible under, in one
+or the batched battery kernel all at once.  The outage suite sweeps a
+subblock spec's words as products of its valid L-bit blocks, which are
+never concatenated: the kernel steps each block prefix once for all the
+words that share it, and a witness is rebuilt from its index.  The count
+checks keep the filter.  The outage suite sweeps each spec once, at its
+longest length, for all the grid models it is feasible under, in one
 kernel call: an outage at a shorter length shows there too, and only a
 model that outages is swept again, by ascending length, for its first
 witness (see _first_outages).  An infeasible setup's draining witness is
@@ -100,24 +102,6 @@ def _first_failure(name: str, failures: Iterable, describe: Callable = repr) -> 
 def _valid(spec: ConstraintSpec, n: int) -> np.ndarray:
     words = _words(spec, n)
     words.flags.writeable = False  # shared by every caller through the cache
-    return words
-
-
-def _sweep_words(spec: ConstraintSpec, n: int) -> np.ndarray:
-    """The valid words of spec at n that the outage suite sweeps, ascending.
-
-    A subblock spec's words, at a multiple n of L, are built as the
-    concatenations of its valid L-bit blocks: the rule tests each aligned
-    block alone, so these are exactly the words the filter keeps, and a
-    block appended to ascending words in ascending order keeps them
-    ascending.  The count checks read the filter, _valid, directly.
-    """
-    if not isinstance(spec, SEC):
-        return _valid(spec, n)
-    blocks = _valid(spec, spec.length)
-    words = blocks
-    for _ in range(n // spec.length - 1):
-        words = np.bitwise_or.outer(words << spec.length, blocks).ravel()
     return words
 
 
@@ -351,6 +335,17 @@ def suite_bounds() -> list[Check]:
     return checks
 
 
+def _product_word(blocks: np.ndarray, size: int, repeat: int, index: int | np.ndarray):
+    """Swept word index of the product of repeat size-bit words from blocks, as an integer.
+
+    The digits of index in base len(blocks), most significant first, pick
+    the blocks, which are the digits of the word in base 2^size: the order
+    _outage_words sweeps a product in.  index may be an array of indices.
+    """
+    digits = np.unravel_index(index, (len(blocks),) * repeat)
+    return np.ravel_multi_index([blocks[digit] for digit in digits], (1 << size,) * repeat)
+
+
 def _first_outages(
     spec: ConstraintSpec, models: list[EnergyModel], lengths: Sequence[int]
 ) -> list[str | None]:
@@ -361,8 +356,13 @@ def _first_outages(
     the proof below means that no valid word of any of the lengths does.
     Only the marked models are swept again, by ascending length and in one
     call per length over those without a witness yet, so each detail names
-    the first witness.  A passing sweep thus makes one kernel call.  The
-    words of each length come from _sweep_words.
+    the first witness: the word at the first marked index, which
+    _product_word rebuilds.  A passing sweep thus makes one kernel call.
+
+    A subblock spec's n-bit words are swept as the products of its valid
+    L-bit blocks: its rule tests each aligned block alone, so these are
+    exactly the words the filter keeps, and in the same ascending order.
+    The other families' valid n-bit words are swept whole.
 
     Proof that an outage at any swept length shows at the longest one.
     Every family's rule is extension-closed over the lengths swept: a valid
@@ -376,18 +376,23 @@ def _first_outages(
     the padded word is marked whenever the n-bit word is: its first n steps
     are the same.
     """
-    top = lengths[-1]
-    marked, _ = _outage_words(_sweep_words(spec, top), top, models)
+
+    def sweep(n: int, batch: list[EnergyModel]) -> tuple[np.ndarray, int, np.ndarray]:
+        # the marks of the valid n-bit words, swept as products of size-bit blocks
+        size = spec.length if isinstance(spec, SEC) else n
+        blocks = _valid(spec, size)
+        return blocks, size, _outage_words(blocks, size, batch, n // size)[0]
+
+    marked = sweep(lengths[-1], models)[2]
     witnesses: list[str | None] = [None] * len(models)
     rows = np.flatnonzero(marked.any(axis=1)).tolist()
     for n in lengths:
         if not rows:
             break
-        words = _sweep_words(spec, n)
-        marked, _ = _outage_words(words, n, [models[i] for i in rows])
+        blocks, size, marked = sweep(n, [models[i] for i in rows])
         for i, row in zip(rows, marked):
             if row.any():
-                witnesses[i] = _word_text(int(words[row.argmax()]), n)
+                witnesses[i] = _word_text(_product_word(blocks, size, n // size, row.argmax()), n)
         rows = [i for i in rows if witnesses[i] is None]
     return witnesses
 
@@ -486,8 +491,11 @@ def run_suite(name: str, max_n: int | None = None) -> list[Check]:
     proved, and every other limit is a module constant.  A max_n below the
     longest spec a length sweep covers raises ValueError, since those suites
     would pass on an empty range.  A max_n above DEFAULT_ENUM_LIMIT raises
-    ResourceLimitError before any work: no suite enumerates beyond
-    max(max_n, 18) bits, so only max_n can pass the limit.
+    ResourceLimitError before any work: no suite enumerates words longer
+    than max(max_n, 10) bits, so only max_n can pass the limit.  The outage
+    suite enumerates a subblock spec's L-bit blocks alone, L <= 6, and
+    sweeps their 3L-bit products without building them; the 10 bits are the
+    equivalence suite's window checks at n = 2t, t <= 5, whatever max_n.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")

@@ -23,8 +23,9 @@ from capcomp import (
     simulate,
     swc_feasible,
 )
+from capcomp.constraints import SEC, _words
 from capcomp.energy import _outage_words, _pivot, _pivot_scan, _run, _zeros
-from capcomp.verify import MODEL_B_GRID, MODEL_EMAX_GRID
+from capcomp.verify import MAX_L, MODEL_B_GRID, MODEL_EMAX_GRID, _subblocks
 
 
 def model(b, e_max, e_init=None):
@@ -216,6 +217,41 @@ class TestOutageWords:
         for got, want in zip(_outage_words(words, 12, models), whole):
             np.testing.assert_array_equal(got, want)
         assert whole[0].any() and not whole[0].all()
+
+    def test_a_product_sweep_is_the_flat_sweep_of_the_concatenations(self):
+        # every subblock spec verify sweeps, as k of its valid L-bit blocks,
+        # against one flat run over its valid kL-bit words in ascending order,
+        # under every model of verify's grid
+        models = [model(b, e_max) for b in MODEL_B_GRID for e_max in MODEL_EMAX_GRID]
+        for spec in _subblocks(MAX_L):
+            blocks = _words(spec, spec.length)
+            for k in (1, 2, 3):
+                flat = _outage_words(_words(spec, k * spec.length), k * spec.length, models)
+                for got, want in zip(_outage_words(blocks, spec.length, models, k), flat):
+                    np.testing.assert_array_equal(got, want, err_msg=f"{spec} k={k}")
+
+    @pytest.mark.parametrize("step", [5, 30])
+    def test_a_product_sweep_in_small_tiles_equals_the_flat_sweep(self, monkeypatch, step):
+        # SEC(4, 2) has 11 valid blocks: 5 words per step cut each prefix's
+        # row into two slices of 5 and one of 1, and 30 take 2 whole prefixes
+        # per step, which divides neither the 11 nor the 121 prefixes
+        models = grid_models()
+        spec = SEC(4, 2)
+        blocks = _words(spec, 4)
+        assert len(blocks) == 11
+        monkeypatch.setattr("capcomp.energy._STEP_WORDS", step)
+        for k in (1, 2, 3):
+            flat = _outage_words(_words(spec, 4 * k), 4 * k, models)
+            for got, want in zip(_outage_words(blocks, 4, models, k), flat):
+                np.testing.assert_array_equal(got, want, err_msg=f"k={k}")
+            assert flat[0].any() and not flat[0].all()
+
+    def test_no_models_or_no_words_sweep_to_empty_rows(self):
+        words = np.arange(4, dtype=np.int32)
+        for got in _outage_words(words, 2, [], 3):
+            assert got.shape == (0, 64)
+        for got in _outage_words(words[:0], 2, grid_models(), 2):
+            assert got.shape == (72, 0)
 
     @pytest.mark.parametrize(
         "e_max, dtype",

@@ -28,17 +28,23 @@ from capcomp.verify import _OUTAGE_GRID, _spec_text, suite_bounds, suite_outage
 FEASIBLE_FAILURE = re.compile(r"feasible (.+) outages on ([01]+)")
 
 
-def test_long_subblock_words_are_block_concatenations():
+def test_the_product_sweep_word_order_is_the_filters():
+    # swept word i of k valid blocks, rebuilt as a witness is, is the i-th
+    # valid kL-bit word that the filter keeps
     for spec in verify._subblocks(verify.MAX_L):
-        for n in (spec.length, 2 * spec.length, 3 * spec.length):
-            concatenated = verify._sweep_words(spec, n)
-            assert np.array_equal(concatenated, _words(spec, n)), (spec, n)
+        blocks = _words(spec, spec.length)
+        for k in (1, 2, 3):
+            swept = verify._product_word(blocks, spec.length, k, np.arange(len(blocks) ** k))
+            assert np.array_equal(swept, _words(spec, k * spec.length)), (spec, k)
 
 
-def test_subblock_sweep_holds_at_most_12_bytes_per_word(fresh_words):
+def test_subblock_sweep_holds_at_most_5_bytes_per_word(fresh_words):
     # SEC(6, 2) is feasible under b = 1/4 with e_max 2 and 3; at 18 bits it
-    # sweeps 57^3 int32 words, with an int8 level and a mark per word and
-    # model: 8 bytes per word, plus the slice temporaries and shorter words
+    # sweeps the 57^3 products of its 57 blocks, which are never built as
+    # words.  Per word of the last round, an int8 level and a mark for each
+    # of the 2 models: 4 bytes.  The round before holds 1/57 of that, and a
+    # step's mark temporary one byte per model over at most 2^14 words,
+    # 0.18 bytes per word: 4.25 in all
     spec = SEC(6, 2)
     grid = [EnergyModel.make(b, e) for b in verify.MODEL_B_GRID for e in verify.MODEL_EMAX_GRID]
     models = [m for m in grid if spec._feasible(m)]
@@ -49,7 +55,7 @@ def test_subblock_sweep_holds_at_most_12_bytes_per_word(fresh_words):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * len(verify._sweep_words(spec, 18))
+    assert peak <= 5 * 57**3
 
 
 def test_every_swept_rule_is_closed_under_extension_and_prefix():
@@ -72,9 +78,9 @@ def test_a_passing_outage_suite_sweeps_each_feasible_spec_once(monkeypatch):
     real = verify._outage_words
     calls = []
 
-    def counted(words, n, *rest):
-        calls.append(n)
-        return real(words, n, *rest)
+    def counted(words, n, models, repeat=1):
+        calls.append(n * repeat)
+        return real(words, n, models, repeat)
 
     monkeypatch.setattr(verify, "_outage_words", counted)
     checks = suite_outage(max_n=12)
