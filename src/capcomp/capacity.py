@@ -264,13 +264,10 @@ def _popcount_strings(bits: int, k: int) -> np.ndarray:
 
     The strings are built one bit at a time, keeping per popcount j only those
     that can still reach k.  At bit b those are at most C(bits, k) in all:
-    each extends in at least one way to a distinct k-subset of the bits.  For
-    2k > bits the popcount-(bits-k) strings are built and complemented, which
-    reverses their order, so no intermediate set is larger than the result.
-    The result is one contiguous array, so a binary search reads it in place.
+    each extends in at least one way to a distinct k-subset of the bits, so
+    no intermediate set is larger than the result, whatever k is.  The result
+    is one contiguous array, so a binary search reads it in place.
     """
-    if 2 * k > bits:
-        return np.subtract((1 << bits) - 1, _popcount_strings(bits, bits - k)[::-1])
     none = np.zeros(0, dtype=np.int64)
     rows = {0: np.zeros(1, dtype=np.int64)}
     for b in range(bits):

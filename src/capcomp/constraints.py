@@ -22,9 +22,15 @@ rll_capacity solves, the subblock count is a power of sec_capacity's
 subblock sum, and the window count runs on the growth route's predecessor
 tables.  The brute-force oracles check all three.
 
-Each rule exists twice.  ``_accepts`` tests one bit string of any length;
-``_accepts_words`` tests a numpy array of n-bit integer words at once, with
-shifts and popcounts.  Character i of a string is bit n-1-i of its word, so
+Membership is one rule for all three: a window of some span, started at
+every multiple of some stride, holds at least some number of ones.  Each
+spec declares its triple (span, weight, stride): RLL(d) is (d+1, d, 1),
+SWC(t, w) is (t, w, 1) and SEC(length, w) is (length, w, length).  The rule
+exists twice.  ``_accepts`` tests one bit string of any length, with running
+sums of its ones; ``_accepts_words`` tests a numpy array of n-bit integer
+words at once, with shifts and popcounts.  RLL keeps a word rule of its own,
+the zero-gap scan, so the suites that compare RLL(d) with SWC(d+1, d) test
+two independent rules.  Character i of a string is bit n-1-i of its word, so
 ascending word order is lexicographic string order.  Words are int32: no
 enumerated word is longer than DEFAULT_ENUM_LIMIT = 24 bits, so every word
 and every shift of one stays below the sign bit; verify sweeps its longest
@@ -39,6 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import astuple, dataclass
+from itertools import accumulate, islice, tee
 from typing import ClassVar
 
 import numpy as np
@@ -62,13 +69,18 @@ class _Family:
 
     ``family`` is the CLI name; ``flags`` names the CLI flag of each field in
     field order (SEC's ``length`` is ``--l``); ``labels`` names the fields in
-    outage reports.  The per-family rules are the methods ``_accepts`` (the
-    membership test on a checked bit string), ``_accepts_words`` (the same
-    test on an array of n-bit words, as a bool mask), ``_count`` (the exact
-    count, from the formula behind the family's capacity), ``_feasible``
-    (the zero-outage condition), ``_witness`` (one period of a draining
-    sequence, for infeasible models) and ``_period`` (that period's length,
-    from the fields alone, so a too-long witness is refused unbuilt).
+    outage reports.  The per-family rules are the methods ``_window`` (the
+    membership triple (span, weight, stride): every window of span bits that
+    starts at a multiple of stride holds at least weight ones),
+    ``_check_length`` (raises ValueError for a length the rule cannot test;
+    only SEC has one), ``_count`` (the exact count, from the formula behind
+    the family's capacity), ``_feasible`` (the zero-outage condition),
+    ``_witness`` (one period of a draining sequence, for infeasible models)
+    and ``_period`` (that period's length, from the fields alone, so a
+    too-long witness is refused unbuilt).  Membership is tested here, from
+    the triple alone: ``_accepts`` on a checked bit string and
+    ``_accepts_words`` on an array of n-bit words, as a bool mask.  RLL
+    overrides ``_accepts_words`` with its zero-gap rule.
     """
 
     family: ClassVar[str]
@@ -87,6 +99,33 @@ class _Family:
         """The spec's fields keyed by their CLI flag names."""
         return dict(zip(self.flags, astuple(self)))
 
+    def _check_length(self, n: int) -> None:
+        """Every length can be tested, except where a family overrides this."""
+
+    def _accepts(self, bits: str) -> bool:
+        self._check_length(len(bits))
+        span, weight, stride = self._window()
+        digits = bits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        # the running count of ones, read at each window's start and end; tee
+        # holds only the span counts between the two
+        starts, ends = tee(accumulate(digits, initial=0))
+        starts, ends = islice(starts, 0, None, stride), islice(ends, span, None, stride)
+        return all(end - start >= weight for start, end in zip(starts, ends))
+
+    def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
+        self._check_length(n)
+        span, weight, stride = self._window()
+        window = (1 << span) - 1
+        ok = np.ones(words.shape, dtype=bool)
+        part = np.empty_like(words)
+        # a stride over 1 divides n - span (SEC's length check), so the shifts
+        # at its multiples are the windows at its multiples from the start
+        for shift in range(0, n - span + 1, stride):
+            np.right_shift(words, shift, out=part)
+            np.bitwise_and(part, window, out=part)
+            ok &= np.bitwise_count(part) >= weight
+        return ok
+
 
 @dataclass(frozen=True)
 class RLL(_Family):
@@ -99,18 +138,12 @@ class RLL(_Family):
         if self.d < 1:
             raise ValueError("d must be >= 1")
 
-    def _accepts(self, bits: str) -> bool:
-        if len(bits) <= self.d:
-            return True
-        last_zero = None
-        for i, ch in enumerate(bits):
-            if ch == "0":
-                if last_zero is not None and i - last_zero - 1 < self.d:
-                    return False
-                last_zero = i
-        return True
+    def _window(self) -> tuple[int, int, int]:
+        return self.d + 1, self.d, 1
 
     def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
+        # the zero-gap rule, not the window rule, so that verify's
+        # RLL(d) = SWC(d + 1, d) checks compare two independent rules
         ok = np.ones(words.shape, dtype=bool)
         if n <= self.d:
             return ok
@@ -167,29 +200,8 @@ class SWC(_Family):
     def __post_init__(self) -> None:
         _check_pair(self.t, self.w, "swc")
 
-    def _accepts(self, bits: str) -> bool:
-        t, w = self.t, self.w
-        n = len(bits)
-        if n < t:
-            return True
-        ones = bits.count("1", 0, t)
-        if ones < w:
-            return False
-        for j in range(n - t):
-            ones += (bits[j + t] == "1") - (bits[j] == "1")
-            if ones < w:
-                return False
-        return True
-
-    def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
-        window = (1 << self.t) - 1
-        ok = np.ones(words.shape, dtype=bool)
-        part = np.empty_like(words)
-        for shift in range(n - self.t + 1):
-            np.right_shift(words, shift, out=part)
-            np.bitwise_and(part, window, out=part)
-            ok &= np.bitwise_count(part) >= self.w
-        return ok
+    def _window(self) -> tuple[int, int, int]:
+        return self.t, self.w, 1
 
     def _count(self, n: int) -> int:
         t, w = self.t, self.w
@@ -238,23 +250,8 @@ class SEC(_Family):
                 f"sequence length {n} is not a multiple of the subblock length {self.length}"
             )
 
-    def _accepts(self, bits: str) -> bool:
-        self._check_length(len(bits))
-        return all(
-            bits.count("1", j, j + self.length) >= self.w
-            for j in range(0, len(bits), self.length)
-        )
-
-    def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
-        self._check_length(n)
-        block = (1 << self.length) - 1
-        ok = np.ones(words.shape, dtype=bool)
-        part = np.empty_like(words)
-        for shift in range(0, n, self.length):
-            np.right_shift(words, shift, out=part)
-            np.bitwise_and(part, block, out=part)
-            ok &= np.bitwise_count(part) >= self.w
-        return ok
+    def _window(self) -> tuple[int, int, int]:
+        return self.length, self.w, self.length
 
     def _count(self, n: int) -> int:
         """S(L, w)^(n/L), with S(L, w) the subblock sum of sec_capacity.

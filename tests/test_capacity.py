@@ -30,6 +30,7 @@ from capcomp.capacity import (
     SPECTRAL_TOL,
     _fits_budget,
     _follower_classes,
+    _popcount_strings,
     _swc_spectral,
     _window_tables,
     swc_capacities_exact,
@@ -234,6 +235,13 @@ class TestWindowCapacity:
             assert len(succ0) == math.comb(t - 1, w), (t, w)
             ref1, ref0 = follower_classes_over_all_states(t, w)
             assert succ1.tolist() == ref1 and succ0.tolist() == ref0, (t, w)
+
+    def test_popcount_strings_are_the_ascending_popcount_k_integers(self):
+        for bits in range(17):
+            every = np.arange(1 << bits)
+            counts = np.bitwise_count(every)
+            for k in range(bits + 1):
+                assert np.array_equal(_popcount_strings(bits, k), every[counts == k]), (bits, k)
 
     def test_tables_do_not_depend_on_the_chunk_size(self, monkeypatch):
         windows = [(t, w) for t in range(2, 12) for w in range(1, t)]

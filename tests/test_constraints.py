@@ -1,7 +1,9 @@
 """Constraint membership, enumeration, exact counting, adversarial sequences."""
 
 import math
+import re
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -97,6 +99,60 @@ class TestSatisfies:
             SEC(2, 0)
 
 
+def by_definition(spec, bits):
+    """Each family's membership rule, written out on its own fields."""
+    if isinstance(spec, RLL):
+        # short strings hold no full separation window
+        return len(bits) <= spec.d or not re.search(f"01{{0,{spec.d - 1}}}0", bits)
+    if isinstance(spec, SWC):
+        return all(bits[j : j + spec.t].count("1") >= spec.w for j in range(len(bits) - spec.t + 1))
+    assert len(bits) % spec.length == 0
+    return all(
+        bits[j : j + spec.length].count("1") >= spec.w for j in range(0, len(bits), spec.length)
+    )
+
+
+class TestWindowWeightRule:
+    @pytest.mark.parametrize("spec", VERIFY_GRID, ids=str)
+    def test_every_short_string_matches_the_definition(self, spec):
+        for n in _lengths(spec):
+            for bits in map("".join, product("01", repeat=n)):
+                assert satisfies(spec, bits) is by_definition(spec, bits), bits
+
+    @given(
+        spec=st.sampled_from(VERIFY_GRID),
+        # runs of ones and zeros, so that windows of every weight show up
+        runs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=400),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_long_strings_match_the_definition(self, spec, runs):
+        bits = "".join("1" * ones + "0" * zeros for ones, zeros in runs)
+        if isinstance(spec, SEC):
+            bits = bits[: len(bits) - len(bits) % spec.length]
+        assert satisfies(spec, bits) is by_definition(spec, bits)
+
+    @pytest.mark.parametrize(
+        "spec,period",
+        [
+            (RLL(3), "0111"),
+            (SWC(12, 6), "000000111111"),
+            # aligned blocks of 4 ones, with ten zeros in a row across each
+            # second block boundary: not in SWC(10, 4)
+            (SEC(10, 4), "1111000000" + "0000001111"),
+        ],
+        ids=str,
+    )
+    def test_a_periodic_witness_of_50000_bits(self, spec, period):
+        bits = (period * (50_000 // len(period) + 1))[:50_000]
+        assert satisfies(spec, bits) and by_definition(spec, bits)
+        # one 1 fewer, at the end, puts a window short of ones
+        last = bits.rindex("1")
+        short = bits[:last] + "0" + bits[last + 1 :]
+        assert not satisfies(spec, short) and not by_definition(spec, short)
+        if isinstance(spec, SEC):
+            assert not satisfies(SWC(spec.length, spec.w), bits)
+
+
 class TestEnumerate:
     def test_rll_short_list(self):
         assert enumerate_sequences(RLL(1), 3) == ["010", "011", "101", "110", "111"]
@@ -121,10 +177,12 @@ class TestEnumerate:
 
     def test_words_are_int32_and_every_enumerated_length_fits(self):
         assert _words(SWC(3, 2), 10).dtype == np.int32
-        # the enumeration limit, and the 3 subblocks of the outage suite's
-        # longest concatenated words, stay clear of the int32 sign bit
+        # every enumerated word stays clear of the int32 sign bit; the outage
+        # suite's longest subblock words, 3 blocks of at most MAX_L bits, are
+        # numpy indices: verify._product_word ravels them, and
+        # energy._outage_words shapes len(blocks) ** 3 swept words
         assert DEFAULT_ENUM_LIMIT < 31
-        assert 3 * MAX_L < 31
+        assert 3 * MAX_L < np.iinfo(np.intp).bits - 1
 
     @pytest.mark.parametrize("spec", VERIFY_GRID, ids=str)
     def test_matches_the_string_reference(self, spec):
