@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import astuple, dataclass
-from itertools import accumulate, islice, tee
 from typing import ClassVar
 
 import numpy as np
@@ -105,12 +104,12 @@ class _Family:
     def _accepts(self, bits: str) -> bool:
         self._check_length(len(bits))
         span, weight, stride = self._window()
-        digits = bits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
-        # the running count of ones, read at each window's start and end; tee
-        # holds only the span counts between the two
-        starts, ends = tee(accumulate(digits, initial=0))
-        starts, ends = islice(starts, 0, None, stride), islice(ends, span, None, stride)
-        return all(end - start >= weight for start, end in zip(starts, ends))
+        if len(bits) < span:
+            return True
+        # ones[i] counts the ones among the first i bits; a window starting at
+        # j holds ones[j + span] - ones[j] of them
+        ones = np.cumsum(np.frombuffer(b"0" + bits.encode(), np.uint8) == ord("1"))
+        return bool((ones[span::stride] - ones[: len(bits) + 1 - span : stride] >= weight).all())
 
     def _accepts_words(self, words: np.ndarray, n: int) -> np.ndarray:
         self._check_length(n)

@@ -41,11 +41,31 @@ def _lengths(spec, max_n=12):
     return range(0, max_n + 1, step)
 
 
+def by_definition(spec, bits):
+    """Each family's membership rule, written out on its own fields."""
+    if isinstance(spec, RLL):
+        # short strings hold no full separation window
+        return len(bits) <= spec.d or not re.search(f"01{{0,{spec.d - 1}}}0", bits)
+    if isinstance(spec, SWC):
+        return all(bits[j : j + spec.t].count("1") >= spec.w for j in range(len(bits) - spec.t + 1))
+    assert len(bits) % spec.length == 0
+    return all(
+        bits[j : j + spec.length].count("1") >= spec.w for j in range(0, len(bits), spec.length)
+    )
+
+
 def reference_enumeration(spec, n):
-    """Every n-bit string that satisfies() accepts, in lexicographic order."""
-    if n == 0:
-        return [""] if satisfies(spec, "") else []
-    return [s for s in (format(i, f"0{n}b") for i in range(1 << n)) if satisfies(spec, s)]
+    """Every n-bit string that satisfies() accepts, in lexicographic order.
+
+    satisfies() is checked against by_definition on every n-bit string.
+    """
+    accepted = []
+    for bits in map("".join, product("01", repeat=n)):
+        ok = satisfies(spec, bits)
+        assert ok is by_definition(spec, bits), bits
+        if ok:
+            accepted.append(bits)
+    return accepted
 
 
 class TestSatisfies:
@@ -99,26 +119,7 @@ class TestSatisfies:
             SEC(2, 0)
 
 
-def by_definition(spec, bits):
-    """Each family's membership rule, written out on its own fields."""
-    if isinstance(spec, RLL):
-        # short strings hold no full separation window
-        return len(bits) <= spec.d or not re.search(f"01{{0,{spec.d - 1}}}0", bits)
-    if isinstance(spec, SWC):
-        return all(bits[j : j + spec.t].count("1") >= spec.w for j in range(len(bits) - spec.t + 1))
-    assert len(bits) % spec.length == 0
-    return all(
-        bits[j : j + spec.length].count("1") >= spec.w for j in range(0, len(bits), spec.length)
-    )
-
-
 class TestWindowWeightRule:
-    @pytest.mark.parametrize("spec", VERIFY_GRID, ids=str)
-    def test_every_short_string_matches_the_definition(self, spec):
-        for n in _lengths(spec):
-            for bits in map("".join, product("01", repeat=n)):
-                assert satisfies(spec, bits) is by_definition(spec, bits), bits
-
     @given(
         spec=st.sampled_from(VERIFY_GRID),
         # runs of ones and zeros, so that windows of every weight show up

@@ -4,15 +4,13 @@ A line counts when it holds part of a statement; blank lines, comment lines
 and docstrings (the leading string of a module, class or function) do not.
 Run from the repository root:
 
-    python tools/code_lines.py [DIR ...]
+    python tools/code_lines.py
 
-It prints one total for the ``*.py`` files directly under each DIR, by
-default ``src/capcomp``.
+It prints the total for the ``*.py`` files of ``src/capcomp``.
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -49,11 +47,10 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> None:
-    for root in argv or ["src/capcomp"]:
-        total = sum(code_lines(path.read_text()) for path in sorted(Path(root).glob("*.py")))
-        print(f"{root}: {total} code lines")
+def main() -> None:
+    total = sum(code_lines(path.read_text()) for path in sorted(Path("src/capcomp").glob("*.py")))
+    print(f"src/capcomp: {total} code lines")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
