@@ -19,7 +19,8 @@ union of their class graphs, each recorded at its own first closed bracket
 and to the same bits as alone; a single window is a batch of one, and every
 answer is kept for the process, so no window is solved twice.  An
 independent growth-rate route (log-domain counting DP over all suffix states,
-gathering through a -inf sentinel slot) is the cross-check.
+gathering through a -inf sentinel slot) is the cross-check; it stops on a
+certified Collatz-Wielandt bracket of its own, over the live suffix states.
 
 swc_capacity is the one rule that rates a window exactly: the full window
 (T, T) is zero, the one-zero window (T, T - 1) takes the run-length root, the
@@ -44,18 +45,13 @@ from .errors import ResourceLimitError, _check_pair
 # stays put.  The growth route does allocate all 2^(T-1) states.
 DEFAULT_STATE_BUDGET = 1 << 20
 
-# the run-length root's bisection bracket width, the log2 bracket width at
-# which the power iteration stops, and the estimate delta at which the
-# growth-rate route stops
+# the run-length root's bisection bracket width, and the log2 bracket widths
+# at which the power iteration and the growth-rate route stop
 ROOT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 GROWTH_TOL = 1e-9
 
 _LN2 = math.log(2.0)
-
-# consecutive sub-tolerance deltas required before the growth route is
-# trusted; a single small delta can be the extremum of a decaying oscillation
-_CONVERGENCE_STREAK = 3
 
 # iteration caps of the spectral and growth routes; running out raises
 _MAX_POWER_ITER = 200_000
@@ -66,9 +62,9 @@ _MAX_GROWTH_N = 4000
 # sets bit t-1
 _MAX_WINDOW = 63
 
-# the power iteration tests its bracket, and normalizes, on every this-many-th
-# product; a class has at most two successors, so an iterate grows by at most
-# 2^_CHECK_EVERY in between
+# the power iteration and the growth route test their brackets, and
+# normalize, on every this-many-th step; a class or state has at most two
+# successors, so an iterate grows by at most 2^_CHECK_EVERY in between
 _CHECK_EVERY = 8
 
 # _follower_classes fills its tables this many classes at a time, so that
@@ -85,9 +81,9 @@ class CapacityResult:
     - a run-length or zero-run root (closed-form): the width of a bracket on
       the capacity, in log2, that holds value, so value is within residual
       of the capacity;
-    - spectral: the width of the certified Collatz-Wielandt bracket in log2,
-      whose midpoint is value, so value is within residual/2 of the capacity;
-    - dp-growth: nothing certified; it is the last estimate delta;
+    - spectral and dp-growth: the width of the certified Collatz-Wielandt
+      bracket in log2, whose midpoint is value, so value is within
+      residual/2 of the capacity;
     - the other closed forms and the bounds: 0.0, as they carry no bracket.
     """
 
@@ -533,10 +529,52 @@ def swc_capacity_growth(
 ) -> CapacityResult:
     """Sliding-window capacity as the growth rate of the count sequence.
 
-    Tracks log2 of per-state counts with a log-domain DP and estimates
-    log2(M(n+1)/M(n)) until successive estimates settle within GROWTH_TOL.  Raises
-    ResourceLimitError when they have not settled by length _MAX_GROWTH_N.
-    Shares no code with the spectral route.
+    A log-domain counting DP over all 2^(t-1) suffix states: logs[s] is log2
+    of the number of valid strings of the current length that end in state
+    s, and each appended bit sums the counts of s's one or two admissible
+    predecessors (_window_tables).  On every _CHECK_EVERY-th length the
+    route takes over the live states the Collatz-Wielandt bracket
+    min/max log2(v_{n+1,i} / v_{n,i}) on log2 of the spectral radius, and
+    stops once it is narrower than GROWTH_TOL: the value is the bracket's
+    midpoint and residual its width, so the capacity lies within residual/2
+    of value, as for the spectral route.  Raises ResourceLimitError when the
+    bracket is still open by length _MAX_GROWTH_N.  Shares no code with the spectral route.
+
+    Proof that the live set is fixed.  Appending bit c = s & 1 to a
+    predecessor p of s completes a window of weight popcount(p) + c, so an
+    admissible predecessor has popcount >= w-1.  At length t-1 every state
+    counts 1.  At length t a state s has an admissible predecessor iff its
+    window with leading bit 1 is heavy enough, popcount(s) + 1 >= w, that
+    is iff idx1[s] is not the sentinel.  From then on such an s keeps one:
+    its predecessor with leading bit 1 has popcount >= w-1, so it is live,
+    by induction.  So from length t on the live states are exactly those of
+    popcount >= w-1, each with a positive count; the dead ones have no
+    admissible successor, lie on no cycle and feed no live state.  The live
+    counts thus step as v_{n+1} = A v_n, where A_sp = 1 when p is an
+    admissible predecessor of s: the transpose of the live window graph,
+    whose spectral radius 2^C it shares.
+
+    Proof that the bracket is certified and closes.  From a live state, t-1
+    appended ones are admissible and reach the all-ones state, and from it
+    the bits of any live state are (as _swc_spectral shows for the classes),
+    so A is irreducible; the all-ones state follows itself, so A is
+    primitive.  For any positive x, min_i (Ax)_i/x_i <= rho(A) <=
+    max_i (Ax)_i/x_i, and the iterates of a primitive matrix tend to its
+    Perron vector, so the bracket shrinks to zero width.  The bound holds
+    for any positive iterate, so the roundings of earlier steps do not
+    matter, only those of the checked step.  The counts are rescaled by the
+    live maximum at each check, and a check comes at least every
+    _CHECK_EVERY lengths from length t-1 on.  The maximum does not fall
+    between checks, as every live state has the successor of appending a 1,
+    and at most doubles per length, so it lies in [0, _CHECK_EVERY] in
+    log2.  A live count is at least the all-ones count t-1 lengths before,
+    which is at least every live count t-1 lengths before that (or at least
+    1, near the start), while the maximum at most doubles per length: so
+    every live count lies within 2(t-1) of the maximum in log2.  So each
+    ratio is a difference of log values under 2^7 in size for t <= 63, and
+    its one logaddexp2 and one subtraction move it by a few units of 2^-45,
+    about 1e-13: far below GROWTH_TOL.  Only live entries are read, so no
+    -inf enters the bracket.
     """
     _check_swc_args(t, w, state_budget)
     if w == t:
@@ -546,29 +584,23 @@ def swc_capacity_growth(
     buf = np.zeros((1 << (t - 1)) + 1)
     buf[-1] = -np.inf
     logs = buf[:-1]
-
-    def log_total(v: np.ndarray) -> float:
-        # the maximum is finite: for w < t the all-ones state follows itself,
-        # so its count stays at least 1
-        top = v.max()
-        return float(top + math.log2(np.exp2(v - top).sum()))
-
-    prev_total = log_total(logs)
-    est_prev = None
-    streak = 0
-    delta = math.inf
+    live = idx1 < len(logs)
+    width = math.inf
     for n in range(t, _MAX_GROWTH_N + 1):
+        check = n % _CHECK_EVERY == 0
+        if check:
+            prev = logs[live]
         np.logaddexp2(buf[idx0], buf[idx1], out=logs)
-        cur_total = log_total(logs)
-        est = cur_total - prev_total
-        prev_total = cur_total
-        if est_prev is not None:
-            delta = abs(est - est_prev)
-            streak = streak + 1 if delta < GROWTH_TOL else 0
-            if streak >= _CONVERGENCE_STREAK and n > t + 16:
-                return CapacityResult(value=est, method="dp-growth", residual=delta)
-        est_prev = est
+        if not check:
+            continue
+        ratios = logs[live] - prev
+        lo, hi = float(ratios.min()), float(ratios.max())
+        width = hi - lo
+        if width < GROWTH_TOL:
+            return CapacityResult(value=0.5 * (lo + hi), method="dp-growth", residual=width)
+        # the dead states hold -inf, so this is the live maximum
+        logs -= logs.max()
     raise ResourceLimitError(
         f"growth route for window ({t}, {w}) did not settle by length "
-        f"{_MAX_GROWTH_N}; last delta {delta:.3g}"
+        f"{_MAX_GROWTH_N}; last bracket width {width:.3g}"
     )

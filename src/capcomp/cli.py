@@ -61,6 +61,8 @@ _CAPACITY = {
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
+    if args.growth and args.family != "swc":
+        raise ValueError("--growth applies only to --family swc")
     if args.family == "sec-one-zero":
         if args.t is None:
             raise ValueError("sec-one-zero requires --t")

@@ -27,6 +27,7 @@ from capcomp import (
 )
 from capcomp import capacity
 from capcomp.capacity import (
+    GROWTH_TOL,
     SPECTRAL_TOL,
     _fits_budget,
     _follower_classes,
@@ -215,13 +216,33 @@ class TestWindowCapacity:
             assert abs(exact - rll.value) <= rll.residual / 2 + 1e-15, d
 
     def test_bracket_contains_the_dense_spectral_radius(self):
+        routes = (
+            (swc_capacity_exact, "spectral", SPECTRAL_TOL),
+            (swc_capacity_growth, "dp-growth", GROWTH_TOL),
+        )
         for t in range(2, 11):
             for w in range(1, t):
-                res = swc_capacity_exact(t, w)
-                assert res.method == "spectral"
-                assert 0 < res.residual < SPECTRAL_TOL, (t, w)
-                lo, hi = bracket(res)
-                assert lo <= dense_window_capacity(t, w) <= hi, (t, w)
+                dense = dense_window_capacity(t, w)
+                for route, method, tol in routes:
+                    res = route(t, w)
+                    assert res.method == method
+                    assert 0 < res.residual < tol, (method, t, w)
+                    lo, hi = bracket(res)
+                    assert lo <= dense <= hi, (method, t, w)
+
+    def test_growth_live_states_are_those_of_popcount_at_least_w_minus_1(self):
+        # the lemma behind the growth route's bracket: from length t on, the
+        # states with a finite log count are fixed, and the route reads them
+        # as those whose 1-predecessor is not the sentinel
+        for t in range(2, 13):
+            pc = np.bitwise_count(np.arange(1 << (t - 1)))
+            for w in range(1, t):
+                idx0, idx1 = _window_tables(t, w)
+                assert np.array_equal(idx1 < len(pc), pc >= w - 1), (t, w)
+                buf = np.append(np.zeros(len(pc)), -np.inf)
+                for _ in range(2 * t):
+                    buf[:-1] = np.logaddexp2(buf[idx0], buf[idx1])
+                    assert np.array_equal(np.isfinite(buf[:-1]), pc >= w - 1), (t, w)
 
     def test_one_follower_class_per_weight_w_subset(self):
         # (18, 9) and (18, 11) fill their tables over many chunks, with the
@@ -421,7 +442,7 @@ class TestWindowCapacity:
 
     def test_growth_nmax_flags_residual(self, monkeypatch):
         monkeypatch.setattr("capcomp.capacity._MAX_GROWTH_N", 12)
-        with pytest.raises(ResourceLimitError, match=r"\(6, 4\).*last delta"):
+        with pytest.raises(ResourceLimitError, match=r"\(6, 4\).*last bracket width \d"):
             swc_capacity_growth(6, 4)
 
 

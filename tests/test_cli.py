@@ -58,6 +58,19 @@ class TestCapacity:
         rc, out, err = run(capsys, "capacity", "--family", "rll")
         assert rc == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--family", "rll", "--d", "2"],
+            ["--family", "sec", "--l", "4", "--w", "2"],
+            ["--family", "sec-one-zero", "--t", "3"],
+        ],
+    )
+    def test_growth_is_refused_outside_the_window_family(self, capsys, flags):
+        # the closed form would answer, and the requested route be dropped
+        rc, out, err = run(capsys, "capacity", *flags, "--growth")
+        assert (rc, out, err) == (1, "", "error: --growth applies only to --family swc\n")
+
 
 class TestOutage:
     def test_sec_text(self, capsys):
